@@ -55,10 +55,14 @@ from tracer import Tracer
 HERE = os.path.dirname(os.path.abspath(__file__))
 PINNED_PATH = os.path.join(HERE, "pinned.json")
 
-#: Loop seconds between speed probes in the serve phase.
-PROBE_EVERY_S = 0.1
+#: Loop seconds between speed probes in the serve phase.  The machine's speed
+#: can change within a tenth of a second: across ten runs, windows of 0.1 s
+#: spread read_ms.p99 0.157, windows of 0.02 s 0.076.
+PROBE_EVERY_S = 0.02
 #: Writer-phase updates applied back to back between checks.
 WINDOW = 32
+#: Share of the run's seconds the serve phase gets; the writer phase gets the rest.
+SERVE_SHARE = 0.25
 
 #: The driver counters recorded at the checkpoint and pinned per seed.
 PINNED_COUNTERS = (
@@ -76,9 +80,8 @@ PINNED_COUNTERS = (
 @dataclass(frozen=True)
 class Workload:
     """One named workload: a fixed scenario graph, the scenario's kind of
-    update stream drawn from the seed, a storage backend, whether a writer
-    shares the serve phase's event loop, and the share of the run's seconds
-    the serve phase gets (the writer phase gets the rest)."""
+    update stream drawn from the seed, a storage backend, and whether a
+    writer shares the serve phase's event loop."""
 
     name: str
     why: str
@@ -88,7 +91,6 @@ class Workload:
     stream: Callable
     stream_len: int
     serve_with_writer: bool
-    serve_share: float
 
 
 WORKLOADS: Dict[str, Workload] = {
@@ -104,7 +106,6 @@ WORKLOADS: Dict[str, Workload] = {
             edge_churn,
             6000,
             False,
-            0.25,
         ),
         Workload(
             "vertex_churn_array",
@@ -116,7 +117,6 @@ WORKLOADS: Dict[str, Workload] = {
             vertex_churn,
             1000,
             False,
-            0.25,
         ),
         Workload(
             "read_mostly_serve",
@@ -128,7 +128,6 @@ WORKLOADS: Dict[str, Workload] = {
             edge_churn,
             4000,
             True,
-            0.3,
         ),
     )
 }
@@ -190,19 +189,18 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(arr[max(math.ceil(q / 100.0 * len(arr)) - 1, 0)])
 
 
-def windowed_percentile(values: array, starts: Sequence[int], q: float) -> float:
-    """Median over the windows ``values[starts[i]:starts[i + 1]]`` of each
-    window's *q*-th percentile, counting only windows with at least ten
-    values beyond it.  A tail percentile of the serve loop moves with
-    sub-second hiccups of a shared machine; the median over windows keeps
-    the typical tail and drops the hiccups."""
-    arr = np.asarray(values, dtype=np.float64)
-    bounds = [0, *starts, len(arr)]
+def windowed_percentile(values, starts: Sequence[int], q: float) -> float:
+    """Median over the windows ``values[starts[i]:starts[i + 1]]`` (the last
+    one running to the end) of each window's *q*-th percentile, counting only
+    windows with at least ten values beyond it.  A tail percentile of the
+    serve loop moves with sub-second hiccups of a shared machine; the median
+    over windows keeps the typical tail and drops the hiccups."""
+    bounds = [*starts, len(values)]
     need = math.ceil(10 / (1 - q / 100.0))
     tails = [
-        percentile(arr[lo:hi], q) for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= need
+        percentile(values[lo:hi], q) for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= need
     ]
-    return median(tails) if tails else percentile(arr, q)
+    return median(tails) if tails else percentile(values, q)
 
 
 def centered_scale(times: Sequence[float], ratios: Sequence[float], half: int = 2) -> List[float]:
@@ -251,10 +249,16 @@ class SpeedProbe:
     The shared machines this benchmark runs on switch between a fast and a
     slow state every few seconds to minutes: the same static DFS took
     0.8-1.0 ms in one state and 1.5-1.9 ms in the other.  So every timing is
-    scaled by the :meth:`factor` probed right before it (the probe's
-    reference time over its time now) to what it would read at the reference
-    speed.  The probe's code never changes with the program, so a change to
-    the program moves a scaled timing exactly as it moves the raw one.
+    scaled by the :meth:`factor` probed next to it (the probe's reference
+    time over its time now) to what it would read at the reference speed.
+
+    A probe runs right after program work, so it must not pay for that work.
+    It runs with the garbage collector off (a bigger live heap would make a
+    collection inside the probe dearer), and it times the faster of two
+    passes after a warm-up pass (a program that touches more memory would
+    leave the probe's data out of cache).  After adverse work (32 MB touched
+    and 10^4 objects kept per step) a cold probe read 0.54 of its ratio after
+    light work, and this probe 0.99.
     """
 
     #: Probe seconds at the reference speed (the fast state of a 2-core
@@ -269,10 +273,8 @@ class SpeedProbe:
             a, b = rng.randrange(n), rng.randrange(n)
             self._adj[a].append(b)
             self._adj[b].append(a)
-        self.factors: List[float] = []
         self._recent: Deque[float] = deque(maxlen=recent)
         self.factor()  # warm-up, not kept
-        self.factors.clear()
         self._recent.clear()
 
     def factor(self) -> float:
@@ -281,14 +283,27 @@ class SpeedProbe:
         *recent* probes, so that one disturbed probe does not scale a
         timing."""
         self._recent.append(self.ratio())
-        f = median(self._recent)
-        self.factors.append(f)
-        return f
+        return median(self._recent)
 
     def ratio(self) -> float:
         """Run the probe once: its reference time over its time now."""
-        adj = self._adj
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._dfs()
+            best = min(self._timed_dfs() for _ in range(2))
+        finally:
+            if enabled:
+                gc.enable()
+        return self.REFERENCE_S / best
+
+    def _timed_dfs(self) -> float:
         t0 = perf_counter()
+        self._dfs()
+        return perf_counter() - t0
+
+    def _dfs(self) -> None:
+        adj = self._adj
         parent: Dict[int, Optional[int]] = {}
         for root in adj:
             if root in parent:
@@ -304,10 +319,6 @@ class SpeedProbe:
                         break
                 else:
                     stack.pop()
-        return self.REFERENCE_S / (perf_counter() - t0)
-
-    def median(self) -> float:
-        return median(self.factors) if self.factors else math.nan
 
 
 @dataclass
@@ -387,21 +398,34 @@ def build(workload: Workload, graph) -> System:
     return System(driver, service, front)
 
 
+@dataclass
+class Setup:
+    """Raw construction seconds and the probe factor taken before each."""
+
+    raw: List[float]
+    factors: List[float]
+
+    def seconds(self, scaled: bool) -> float:
+        """Median construction seconds, scaled (see :class:`SpeedProbe`) or raw."""
+        return median([t * f for t, f in zip(self.raw, self.factors)] if scaled else self.raw)
+
+
 def timed_setup(workload: Workload, graph, reps: int):
-    """The last system built, and the median scaled and raw setup seconds
-    over *reps* constructions (after one warm-up)."""
-    scaled, raw = [], []
+    """The last system built, and the :class:`Setup` timings of *reps*
+    constructions (after one warm-up, not kept)."""
     probe = SpeedProbe()
+    timings = Setup([], [])
     system = None
-    for _ in range(reps + 1):
+    for rep in range(reps + 1):
         system = None
         gc.collect()
         f = probe.factor()
         t0 = perf_counter()
         system = build(workload, graph)
-        raw.append(perf_counter() - t0)
-        scaled.append(raw[-1] * f)
-    return system, median(scaled[1:] or scaled), median(raw[1:] or raw)
+        if rep:
+            timings.raw.append(perf_counter() - t0)
+            timings.factors.append(f)
+    return system, timings
 
 
 # --------------------------------------------------------------------------- #
@@ -409,18 +433,25 @@ def timed_setup(workload: Workload, graph, reps: int):
 # --------------------------------------------------------------------------- #
 @dataclass
 class ServeResult:
-    """Scaled read latencies, loop and writer seconds (see
-    :class:`SpeedProbe`), the raw loop seconds, and the median factor.
-    ``windows`` holds the index in ``latencies`` where each probe interval
-    starts."""
+    """Raw read latencies and serve-loop time, split into probe windows:
+    window ``i`` holds ``latencies[starts[i]:starts[i + 1]]``, lasted
+    ``spans[i]`` seconds and is scaled by ``factors[i]`` (see
+    :class:`SpeedProbe`).  ``writer_s`` is the writer's raw ``apply`` time."""
 
     latencies: array
-    windows: List[int]
-    loop_s: float
+    starts: List[int]
+    spans: List[float]
+    factors: List[float]
     writer_s: float
     writes: int
-    raw_loop_s: float
-    speed: float
+
+    def reads(self, scaled: bool):
+        """Read latencies and loop seconds, scaled or raw."""
+        lat = np.asarray(self.latencies, dtype=np.float64)
+        if not scaled:
+            return lat, sum(self.spans)
+        counts = np.diff([*self.starts, len(lat)])
+        return lat * np.repeat(self.factors, counts), sum(t * f for t, f in zip(self.spans, self.factors))
 
 
 def serve_phase(
@@ -435,7 +466,8 @@ def serve_phase(
 ) -> ServeResult:
     """Readers (and, on workloads that serve while writing, one writer) on one
     loop for *budget_s* seconds and at least ``plan.serve_writes`` writes;
-    with *exact_writes* the writer stops at exactly that many."""
+    with *exact_writes* the writer stops at exactly that many.  A write that
+    raises counts as failed and stops the phase."""
     driver = system.driver
     service, front = system.service, system.front
     detach = service is None
@@ -456,8 +488,10 @@ def serve_phase(
     stream = inputs.stream
     min_writes = plan.serve_writes if with_writer else 0
     state = {"stop": False, "next_write": plan.reads_per_update, "writer_s": 0.0, "errors": 0}
-    # The factor probed last scales everything measured until the next probe.
-    state.update(factor=1.0, mark=0.0, loop_s=0.0)
+    # Seconds the loop spent in probes: taken out of read latencies and loop
+    # time, which measure the program, not the benchmark.
+    state.update(mark=0.0, probe_s=0.0)
+    result = ServeResult(lat, [], [], [], 0.0, 0)
 
     async def reader(r: int) -> None:
         methods = (front.lca, front.connected, front.path_length)
@@ -469,13 +503,13 @@ def serve_phase(
             i = (i + 2) % len(pool)
             kind = k % 3
             k += 1
-            t0 = perf_counter()
+            t0, p0 = perf_counter(), state["probe_s"]
             try:
                 res = await methods[kind](a, b)
             except Exception:
                 state["errors"] += 1
                 continue
-            lat.append((perf_counter() - t0) * state["factor"])
+            lat.append(perf_counter() - t0 - (state["probe_s"] - p0))
             if k % every == 0:
                 for column, value in zip(samples, (kind, a, b, _encode(res.answer), res.version)):
                     column.append(value)
@@ -483,44 +517,54 @@ def serve_phase(
                 wake.set()
 
     async def writer() -> None:
-        while True:
-            await wake.wait()
-            wake.clear()
-            if state["stop"]:
-                return
-            if len(applied) >= len(stream):
-                raise RuntimeError("update stream exhausted in the serve phase")
-            update = stream[len(applied)]
-            t0 = perf_counter()
-            driver.apply(update)
-            state["writer_s"] += (perf_counter() - t0) * state["factor"]
-            system.committed(plan)
-            applied.append(update)
-            trees.append(driver.tree)
-            state["next_write"] += plan.reads_per_update
-            if len(applied) >= min_writes:
-                enough.set()
-                if exact_writes:
+        try:
+            while True:
+                await wake.wait()
+                wake.clear()
+                if state["stop"]:
                     return
+                if len(applied) >= len(stream):
+                    raise RuntimeError("update stream exhausted in the serve phase")
+                update = stream[len(applied)]
+                t0 = perf_counter()
+                driver.apply(update)
+                state["writer_s"] += perf_counter() - t0
+                system.committed(plan)
+                applied.append(update)
+                trees.append(driver.tree)
+                state["next_write"] += plan.reads_per_update
+                if len(applied) >= min_writes:
+                    enough.set()
+                    if exact_writes:
+                        return
+        except Exception as exc:
+            tally.record(False, f"serve write {len(applied)} raised {exc!r}")
+            state["stop"] = True
+        finally:
+            # However the writer ends, the phase must not wait for it.
+            enough.set()
 
-    def reprobe() -> None:
-        windows.append(len(lat))
+    def reprobe(reopen: bool = True) -> None:
+        """Close the current probe window (if any) and, with *reopen*, open
+        the next one."""
         now = perf_counter()
-        state["loop_s"] += (now - state["mark"]) * state["factor"]
-        state["mark"] = now
-        state["factor"] = probe.factor()
+        if result.starts:
+            result.spans.append(now - state["mark"])
+        if reopen:
+            result.starts.append(len(lat))
+            result.factors.append(probe.factor())
+            state["mark"] = perf_counter()
+            state["probe_s"] += state["mark"] - now
 
     async def prober() -> None:
-        # A probe (about 0.2-0.35 ms) holds up the reads of one flush in
-        # every PROBE_EVERY_S of loop time: under 0.5% of the reads.
+        # A probe (about 0.55 ms) holds up the reads in flight, a few % of
+        # the reads: enough to set read_ms.p99 if it were not taken out.
         while not state["stop"]:
             await asyncio.sleep(PROBE_EVERY_S)
             reprobe()
 
-    async def main() -> float:
-        t0 = perf_counter()
-        state["mark"] = t0
-        state["factor"] = probe.factor()
+    async def main() -> None:
+        reprobe()
         tasks = [asyncio.create_task(reader(r)) for r in range(plan.readers)]
         tasks.append(asyncio.create_task(prober()))
         if with_writer:
@@ -532,23 +576,19 @@ def serve_phase(
         state["stop"] = True
         wake.set()
         await asyncio.gather(*tasks)
-        reprobe()
-        return perf_counter() - t0
+        reprobe(reopen=False)
 
     wake = asyncio.Event()
     enough = asyncio.Event()
     # Probes come every PROBE_EVERY_S here, so a shorter median keeps up
     # with the machine's state changes.
     probe = SpeedProbe(recent=3)
-    windows: List[int] = []
     gc.collect()
-    try:
-        raw_loop_s = asyncio.run(main())
-    except Exception as exc:  # a raising update or an exhausted stream
-        tally.record(False, f"serve phase: {exc!r}")
-        raw_loop_s = math.nan
+    asyncio.run(main())
     if detach:
         service.close()
+    result.writer_s = state["writer_s"]
+    result.writes = len(applied)
 
     # Checks, outside the timed loop.
     errors = state["errors"]
@@ -569,7 +609,7 @@ def serve_phase(
         if answer != _encode(want):
             query = f"{('lca', 'connected', 'path_length')[kind]}({a!r}, {b!r})"
             tally.add(0, 1, f"read {query} at v{version}: got {answer!r}, want {want!r}")
-    return ServeResult(lat, windows, state["loop_s"], state["writer_s"], len(applied), raw_loop_s, probe.median())
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -577,15 +617,20 @@ def serve_phase(
 # --------------------------------------------------------------------------- #
 @dataclass
 class WriterResult:
-    """Scaled update and yardstick latencies (see :class:`SpeedProbe`), the
-    raw ones, updates that changed the tree, and the median factor."""
+    """Raw update and yardstick latencies, the probe ratio taken right before
+    each (plus one after the last), and the updates that changed the tree."""
 
     latencies: List[float]
     static_latencies: List[float]
-    raw_latencies: List[float]
-    raw_static_latencies: List[float]
+    ratios: List[float]
+    static_ratios: List[float]
     changed: int
-    speed: float
+
+    def updates(self, scaled: bool):
+        """Update and yardstick latencies, scaled (see :func:`centered_scale`) or raw."""
+        if not scaled:
+            return self.latencies, self.static_latencies
+        return centered_scale(self.latencies, self.ratios), centered_scale(self.static_latencies, self.static_ratios)
 
 
 def writer_phase(
@@ -619,15 +664,11 @@ def writer_phase(
         for update in stream[:offset]:
             apply_update(static.graph, update)
     replay = driver.graph.copy()
-    raw_lat: List[float] = []
-    raw_slat: List[float] = []
-    # Probe ratios taken right before each update and each yardstick update;
-    # the probe before the next one follows it, so each timing is scaled
-    # post hoc by the median of the ratios around it (see centered_scale).
-    ratios: List[float] = []
-    static_ratios: List[float] = []
+    # Probe ratios are taken right before each update and each yardstick
+    # update; the probe before the next one follows it, so each timing is
+    # scaled post hoc by the median of the ratios around it.
+    result = WriterResult([], [], [], [], 0)
     busy = 0.0
-    changed = 0
     probe = SpeedProbe()
     todo = stream[offset:]
     if len(todo) < plan.checkpoint:
@@ -638,10 +679,10 @@ def writer_phase(
         if static is not None:
             for update, _ in window:
                 try:
-                    static_ratios.append(probe.ratio())
+                    result.static_ratios.append(probe.ratio())
                     t0 = perf_counter()
                     static.apply(update)
-                    raw_slat.append(perf_counter() - t0)
+                    result.static_latencies.append(perf_counter() - t0)
                 except Exception as exc:
                     tally.record(False, f"static {update.describe()} raised {exc!r}")
                     return False
@@ -657,7 +698,7 @@ def writer_phase(
             break
         before = driver.tree
         try:
-            ratios.append(probe.ratio())
+            result.ratios.append(probe.ratio())
             t0 = perf_counter()
             driver.apply(update)
             dt = perf_counter() - t0
@@ -666,8 +707,8 @@ def writer_phase(
             break
         system.committed(plan)
         busy += dt
-        raw_lat.append(dt)
-        changed += driver.tree is not before
+        result.latencies.append(dt)
+        result.changed += driver.tree is not before
         window.append((update, driver.tree))
         if len(window) == WINDOW and not close_window():
             break
@@ -677,16 +718,9 @@ def writer_phase(
         # The yardstick recomputes from scratch, so its last tree stands for
         # all of them; checking each would double the run's checking time.
         tally.tree(static.graph, static.tree, "static yardstick")
-    ratios.append(probe.ratio())
-    static_ratios.append(probe.ratio())
-    return WriterResult(
-        centered_scale(raw_lat, ratios),
-        centered_scale(raw_slat, static_ratios),
-        raw_lat,
-        raw_slat,
-        changed,
-        median(ratios),
-    )
+    result.ratios.append(probe.ratio())
+    result.static_ratios.append(probe.ratio())
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -711,15 +745,23 @@ def check_pinned(workload: Workload, plan: Plan, seed: int, checkpoint: Optional
 @dataclass
 class Pass:
     system: System
+    setup: Optional[Setup]
     serve: ServeResult
     writer: WriterResult
 
+    def throughput(self, workload: Workload) -> float:
+        """Scaled ``reads_per_s`` where a writer shares the serve loop, else
+        scaled ``updates_per_s``: the rate the workload is chosen for."""
+        if workload.serve_with_writer:
+            reads, loop_s = self.serve.reads(scaled=True)
+            return rate(len(reads), loop_s)
+        lat, _ = self.writer.updates(scaled=True)
+        return rate(len(lat), sum(lat))
 
-def one_pass(workload, inputs, plan, tally, *, seconds, exact, yardstick, setup_reps) -> tuple:
-    """setup -> serve phase -> writer phase; returns the Pass, the setup
-    seconds, scaled and raw."""
-    system, setup_s, raw_setup_s = timed_setup(workload, inputs.graph, setup_reps)
-    serve_s = seconds * workload.serve_share
+
+def phases(workload, system, inputs, plan, tally, *, seconds, exact, yardstick, setup=None) -> Pass:
+    """Serve phase -> writer phase on *system*."""
+    serve_s = seconds * SERVE_SHARE
     serve = serve_phase(workload, system, inputs, plan, tally, budget_s=serve_s, exact_writes=exact)
     writer = writer_phase(
         system,
@@ -733,46 +775,57 @@ def one_pass(workload, inputs, plan, tally, *, seconds, exact, yardstick, setup_
         yardstick=yardstick,
     )
     tally.record(system.checkpoint_tree is not None, "checkpoint not reached")
-    return Pass(system, serve, writer), setup_s, raw_setup_s
+    return Pass(system, setup, serve, writer)
 
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+#: Units of the end-to-end metrics, in the order they are reported.
+UNITS = {
+    "setup_s": "s",
+    "update_ms.p50": "ms",
+    "update_ms.p95": "ms",
+    "updates_per_s": "1/s",
+    "static_update_ms.p50": "ms",
+    "read_ms.p50": "ms",
+    "read_ms.p99": "ms",
+    "reads_per_s": "1/s",
+    "peak_rss_mb": "MB",
+}
+
+
+def timing_metrics(run: Pass, scaled: bool) -> Dict[str, float]:
+    """Every timed end-to-end metric of *run*, from its scaled or raw timings."""
+    lat, static_lat = run.writer.updates(scaled)
+    reads, loop_s = run.serve.reads(scaled)
+    return {
+        "setup_s": run.setup.seconds(scaled),
+        "update_ms.p50": percentile(lat, 50) * 1e3,
+        "update_ms.p95": percentile(lat, 95) * 1e3,
+        "updates_per_s": rate(len(lat), sum(lat)),
+        "static_update_ms.p50": percentile(static_lat, 50) * 1e3,
+        "read_ms.p50": percentile(reads, 50) * 1e3,
+        "read_ms.p99": windowed_percentile(reads, run.serve.starts, 99) * 1e3,
+        "reads_per_s": rate(len(reads), loop_s),
+    }
+
+
 def end_to_end(workload: Workload, inputs: Inputs, plan: Plan, seed: int, seconds: float, tally: Tally):
     """The untraced run: every end-to-end metric."""
-    run, setup_s, raw_setup_s = one_pass(
-        workload, inputs, plan, tally, seconds=seconds, exact=False, yardstick=True, setup_reps=plan.setup_reps
-    )
+    system, setup = timed_setup(workload, inputs.graph, plan.setup_reps)
+    run = phases(workload, system, inputs, plan, tally, seconds=seconds, exact=False, yardstick=True, setup=setup)
     checkpoint = run.system.checkpoint()
     check_pinned(workload, plan, seed, checkpoint, tally)
-    w, s = run.writer, run.serve
-    metrics = {
-        "setup_s": (setup_s, "s"),
-        "update_ms.p50": (percentile(w.latencies, 50) * 1e3, "ms"),
-        "update_ms.p95": (percentile(w.latencies, 95) * 1e3, "ms"),
-        "updates_per_s": (rate(len(w.latencies), sum(w.latencies)), "1/s"),
-        "static_update_ms.p50": (percentile(w.static_latencies, 50) * 1e3, "ms"),
-        "read_ms.p50": (percentile(s.latencies, 50) * 1e3, "ms"),
-        "read_ms.p99": (windowed_percentile(s.latencies, s.windows, 99) * 1e3, "ms"),
-        "reads_per_s": (rate(len(s.latencies), s.loop_s), "1/s"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
-    }
-    raw = {
-        "setup_s": raw_setup_s,
-        "update_ms.p50": percentile(w.raw_latencies, 50) * 1e3,
-        "update_ms.p95": percentile(w.raw_latencies, 95) * 1e3,
-        "updates_per_s": rate(len(w.raw_latencies), sum(w.raw_latencies)),
-        "static_update_ms.p50": percentile(w.raw_static_latencies, 50) * 1e3,
-        "reads_per_s": rate(len(s.latencies), s.raw_loop_s),
-    }
+    values = {**timing_metrics(run, scaled=True), "peak_rss_mb": peak_rss_mb()}
+    metrics = {k: (values[k], unit) for k, unit in UNITS.items()}
     details = {
-        "raw": raw,
-        "speed": {"serve": s.speed, "writer": w.speed},
-        "updates": len(w.latencies),
-        "reads": len(s.latencies),
-        "serve_writes": s.writes,
+        "raw": timing_metrics(run, scaled=False),
+        "speed": {"serve": median(run.serve.factors), "writer": median(run.writer.ratios)},
+        "updates": len(run.writer.latencies),
+        "reads": len(run.serve.latencies),
+        "serve_writes": run.serve.writes,
         "checkpoint": checkpoint,
         "final_digest": digest(run.system.driver.tree.parent_map()),
     }
@@ -780,30 +833,36 @@ def end_to_end(workload: Workload, inputs: Inputs, plan: Plan, seed: int, second
 
 
 def traced(workload: Workload, inputs: Inputs, plan: Plan, seed: int, seconds: float, tally: Tally, out_dir: str):
-    """The traced run: an untraced reference pass, then the same work traced;
-    every per-layer metric."""
-    ref, _, _ = one_pass(workload, inputs, plan, tally, seconds=seconds, exact=True, yardstick=False, setup_reps=0)
+    """The traced run: the same work untraced, traced, and untraced again;
+    every per-layer metric.  All passes run the same phases, yardstick
+    included, so the tracer is the only difference between them, and the
+    untraced passes on both sides of the traced one cancel the drift of the
+    machine's speed and the first pass's warm-up."""
+
+    def untraced() -> Pass:
+        return phases(
+            workload, build(workload, inputs.graph), inputs, plan, tally, seconds=seconds, exact=True, yardstick=True
+        )
+
+    before = untraced()
     tracer = Tracer()
     tracer.install()
     try:
         with tracer.span("setup"):
             system = build(workload, inputs.graph)
-        serve = serve_phase(
-            workload, system, inputs, plan, tally, budget_s=seconds * workload.serve_share, exact_writes=True
-        )
-        writer = writer_phase(
-            system, inputs.graph, inputs.stream, plan, tally,
-            offset=serve.writes, budget_s=0.0, exact=True, yardstick=True,
-        )
+        run = phases(workload, system, inputs, plan, tally, seconds=seconds, exact=True, yardstick=True)
     finally:
         tracer.uninstall()
+    after = untraced()
+    serve, writer = run.serve, run.writer
     checkpoint = system.checkpoint()
     check_pinned(workload, plan, seed, checkpoint, tally)
-    # Tracing must not change what the program computes.
-    tally.record(checkpoint == ref.system.checkpoint(), "traced checkpoint differs from untraced")
     final = digest(system.driver.tree.parent_map())
-    ref_final = digest(ref.system.driver.tree.parent_map())
-    tally.record(final == ref_final, "traced final tree differs from untraced")
+    # Tracing must not change what the program computes.
+    for ref in (before, after):
+        tally.record(checkpoint == ref.system.checkpoint(), "traced checkpoint differs from untraced")
+        tally.record(final == digest(ref.system.driver.tree.parent_map()), "traced final tree differs from untraced")
+    ref_rate = (before.throughput(workload) + after.throughput(workload)) / 2
 
     agg = tracer.summary()
     writer_roots = ("setup", "core.engine.apply")
@@ -819,14 +878,6 @@ def traced(workload: Workload, inputs: Inputs, plan: Plan, seed: int, seconds: f
     updates = count("updates")
     apply_ms = total("core.engine.apply", 1)
     flushes = int(total("service.batch.flush", 0))
-    # Scaled rates, so that a change of machine state between the passes
-    # does not pass for tracing overhead.
-    if workload.serve_with_writer:
-        ref_rate = rate(len(ref.serve.latencies), ref.serve.loop_s)
-        traced_rate = rate(len(serve.latencies), serve.loop_s)
-    else:
-        ref_rate = rate(len(ref.writer.latencies), sum(ref.writer.latencies))
-        traced_rate = rate(len(writer.latencies), sum(writer.latencies))
     metrics = {
         "core.engine.updates": (updates, "count"),
         "core.engine.apply.ms": (apply_ms, "ms"),
@@ -864,8 +915,10 @@ def traced(workload: Workload, inputs: Inputs, plan: Plan, seed: int, seconds: f
         "service.batch.flush.calls": (flushes, "count"),
         "service.batch.queries_per_flush": (count("queries_served") / max(flushes, 1), "ratio"),
         "service.batch.wait_ms": (tracer.wait_s / max(tracer.waits, 1) * 1e3, "ms"),
-        "service.writer_share": (rate(serve.writer_s, serve.loop_s), "ratio"),
-        "trace.overhead_frac": (ref_rate / traced_rate - 1.0, "ratio"),
+        "service.writer_share": (rate(serve.writer_s, sum(serve.spans)), "ratio"),
+        # Scaled rates, so that a change of machine state between the passes
+        # does not pass for tracing overhead.
+        "trace.overhead_frac": (ref_rate / run.throughput(workload) - 1.0, "ratio"),
     }
     os.makedirs(out_dir, exist_ok=True)
     tracer.dump(os.path.join(out_dir, f"trace-{workload.name}-seed{seed}.json"))

@@ -21,6 +21,9 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, HERE)
 
+# The harness sorts timings with numpy, and one workload runs the numpy core.
+pytest.importorskip("numpy")
+
 import harness  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -49,6 +52,23 @@ def test_tiny_run_emits_every_metric_and_traced_agrees(name, tmp_path):
     pinned = harness.load_pinned()["tiny"][name]["1"]
     assert traced["details"]["checkpoint"] == pinned
     assert (tmp_path / f"trace-{name}-seed1.json").exists()
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_raising_serve_write_fails_the_run_and_ends_it(trace, monkeypatch, tmp_path):
+    from repro.core.updates import VertexDeletion
+
+    make_inputs = harness.make_inputs
+
+    def with_bad_first_update(workload, seed, plan):
+        inputs = make_inputs(workload, seed, plan)
+        inputs.stream[0] = VertexDeletion("not a vertex")
+        return inputs
+
+    monkeypatch.setattr(harness, "make_inputs", with_bad_first_update)
+    result = harness.run("read_mostly_serve", 1, 0.2, trace, plan=harness.TINY, out_dir=str(tmp_path))
+    assert not result["correct"] and result["failed"] > 0
+    assert any("serve write 0 raised" in p for p in result["details"]["problems"])
 
 
 def test_tracer_uninstall_restores_every_patched_name():
