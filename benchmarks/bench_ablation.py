@@ -7,11 +7,12 @@ The phase/stage machinery is what keeps the number of rounds poly-logarithmic:
 * disabling *path halving* (walking to the nearer endpoint instead) makes the
   leftover path shrink by O(1) per round, so rounds blow up on long paths;
 * disabling the *heavy-subtree scenarios* (treating the heavy case like a
-  disintegrating traversal) can break the C1/C2 invariant; the engine repairs
-  it with the counted fallback, trading parallelism for correctness.
+  disintegrating traversal) breaks the C1/C2 invariant, and the reroot engine
+  raises :class:`~repro.exceptions.InvariantViolation`.
 
-The harness quantifies both effects; the full engine must show zero fallbacks
-and the smallest round counts.
+The heavy ablation runs on vertex deletions that do reach the heavy case
+(Section 4.4).  The full engine must take a heavy traversal on each of them
+and never raise; the ablated engine must raise on at least one.
 """
 
 from __future__ import annotations
@@ -21,30 +22,47 @@ import pytest
 from benchmarks.conftest import record_table, scale_sizes
 from repro.constants import VIRTUAL_ROOT
 from repro.core.queries import BruteForceQueryService
-from repro.core.reduction import RerootTask
+from repro.core.reduction import RerootTask, reduce_update
 from repro.core.reroot_parallel import ParallelRerootEngine
+from repro.core.updates import VertexDeletion
+from repro.exceptions import InvariantViolation
 from repro.graph.generators import caterpillar_graph, gnp_random_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 
+#: ``(n, p, seed)``: deleting the max-degree vertex of ``gnp(n, p)`` reroots
+#: into the heavy case.
+HEAVY_INPUTS = [(90, 0.05, 36), (400, 0.0125, 25), (400, 0.0125, 38)]
+
 
 def _run(graph, task, **kwargs):
     tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
+    return _reroot(graph, tree, [task], (), **kwargs)
+
+
+def _reroot(graph, tree, tasks, removed, **kwargs):
     metrics = MetricsRecorder()
-    engine = ParallelRerootEngine(
-        tree,
-        BruteForceQueryService(graph, tree),
-        adjacency=graph.neighbor_list,
-        metrics=metrics,
-        **kwargs,
-    )
-    assignment = engine.reroot_many([task])
+    engine = ParallelRerootEngine(tree, BruteForceQueryService(graph, tree), metrics=metrics, **kwargs)
+    assignment = engine.reroot_many(tasks)
     parent = tree.parent_map()
+    for v in removed:
+        del parent[v]
     parent.update(assignment)
     assert check_dfs_tree(graph, parent) == []
     return metrics
+
+
+def _heavy_input(n, p, seed):
+    """The graph after the deletion, the tree before it, the deleted vertex
+    and the rerooting tasks the deletion reduces to."""
+    graph = gnp_random_graph(n, p, seed=seed, connected=True)
+    tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
+    victim = max(graph.vertices(), key=graph.degree)
+    graph.remove_vertex(victim)
+    tasks = reduce_update(VertexDeletion(victim), tree, BruteForceQueryService(graph, tree)).tasks
+    return graph, tree, tasks, [victim]
 
 
 @pytest.mark.benchmark(group="E8-ablation")
@@ -73,37 +91,31 @@ def test_path_halving_ablation(benchmark):
 
 @pytest.mark.benchmark(group="E8-ablation")
 def test_heavy_scenarios_ablation(benchmark):
-    sizes = scale_sizes([200, 400], [100])
-    full_fallbacks, ablated_fallbacks = [], []
-    full_rounds, ablated_rounds = [], []
-    for n in sizes:
-        graph = gnp_random_graph(n, 5.0 / n, seed=7, connected=True)
-        tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
-        root = tree.children(VIRTUAL_ROOT)[0]
-        deep = max(tree.vertices(), key=lambda v: tree.level(v))
-        task = RerootTask(subtree_root=root, new_root=deep, attach=VIRTUAL_ROOT)
-        full = _run(graph, task)
-        ablated = _run(graph, task, enable_heavy=False)
-        full_fallbacks.append(full.get("fallback_components", 0))
-        ablated_fallbacks.append(ablated.get("fallback_components", 0))
+    sizes, full_rounds, full_heavy, ablated_raised = [], [], [], []
+    for n, p, seed in HEAVY_INPUTS:
+        heavy_input = _heavy_input(n, p, seed)
+        full = _reroot(*heavy_input)
+        assert full["traversal_heavy"] > 0
+        try:
+            _reroot(*heavy_input, enable_heavy=False)
+            raised = 0
+        except InvariantViolation:
+            raised = 1
+        sizes.append(n)
         full_rounds.append(full["traversal_rounds"])
-        ablated_rounds.append(ablated["traversal_rounds"])
-        assert full.get("fallback_components", 0) == 0
+        full_heavy.append(full["traversal_heavy"])
+        ablated_raised.append(raised)
     record_table(
         benchmark,
         "E8_heavy_scenarios_ablation",
         sizes,
         {
             "full_engine_rounds": full_rounds,
-            "heavy_disabled_rounds": ablated_rounds,
-            "full_engine_fallbacks": full_fallbacks,
-            "heavy_disabled_fallbacks": ablated_fallbacks,
+            "full_engine_heavy_traversals": full_heavy,
+            "heavy_disabled_raised": ablated_raised,
         },
     )
+    assert any(ablated_raised)
 
-    graph = gnp_random_graph(sizes[-1], 5.0 / sizes[-1], seed=7, connected=True)
-    tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
-    root = tree.children(VIRTUAL_ROOT)[0]
-    deep = max(tree.vertices(), key=lambda v: tree.level(v))
-    task = RerootTask(subtree_root=root, new_root=deep, attach=VIRTUAL_ROOT)
-    benchmark(lambda: _run(graph, task))
+    heavy_input = _heavy_input(*HEAVY_INPUTS[-1])
+    benchmark(lambda: _reroot(*heavy_input))

@@ -55,7 +55,7 @@ def main() -> None:
     )
     print("\nDFS tree is maintained incrementally — no full recomputation happened.")
     print(f"total updates: {int(metrics['updates'])}, "
-          f"fallbacks (should be 0): {int(metrics.get('fallback_components', 0))}")
+          f"recoveries (should be 0): {int(metrics['update_recoveries'])}")
 
 
 if __name__ == "__main__":

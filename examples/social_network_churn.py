@@ -56,7 +56,7 @@ def main() -> None:
                 ["query rounds / update", f"{metrics['query_rounds'] / n_updates:.1f}"],
                 ["independent queries / update", f"{metrics['queries'] / n_updates:.1f}"],
                 ["traversal rounds / update", f"{metrics['traversal_rounds'] / n_updates:.1f}"],
-                ["invariant fallbacks", int(metrics.get("fallback_components", 0))],
+                ["invariant recoveries", int(metrics["update_recoveries"])],
             ],
         )
     )

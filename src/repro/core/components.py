@@ -114,12 +114,6 @@ class Component:
     phase / stage:
         The phase and stage counters of Section 4 (bookkeeping for metrics and
         for the dispatch thresholds).
-    irregular:
-        Set when the engine detected a violation of the C1/C2 invariant while
-        assembling this component; such components are traversed by the
-        correct-by-construction fallback DFS and counted in the metrics.
-    extra_paths:
-        Only populated for irregular components (more than one path piece).
     """
 
     trees: List[TreePiece] = field(default_factory=list)
@@ -128,29 +122,20 @@ class Component:
     attach: Optional[Vertex] = None
     phase: int = 1
     stage: int = 1
-    irregular: bool = False
-    extra_paths: List[PathPiece] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     # Typing / sizes
     # ------------------------------------------------------------------ #
     @property
     def kind(self) -> str:
-        """``"C1"``, ``"C2"`` or ``"irregular"``."""
-        if self.irregular:
-            return "irregular"
-        if self.path is None and len(self.trees) == 1:
-            return "C1"
-        if self.path is not None:
-            return "C2"
-        return "irregular"
+        """``"C1"`` (no path piece) or ``"C2"``."""
+        return "C1" if self.path is None else "C2"
 
     def pieces(self) -> List[object]:
-        """All pieces of the component (path pieces first)."""
+        """All pieces of the component (the path piece first)."""
         out: List[object] = []
         if self.path is not None:
             out.append(self.path)
-        out.extend(self.extra_paths)
         out.extend(self.trees)
         return out
 
@@ -159,8 +144,6 @@ class Component:
         out: List[Vertex] = []
         if self.path is not None:
             out.extend(self.path.vertices)
-        for p in self.extra_paths:
-            out.extend(p.vertices)
         for t in self.trees:
             out.extend(t.vertices(tree))
         return out
@@ -170,7 +153,6 @@ class Component:
         total = 0
         if self.path is not None:
             total += len(self.path)
-        total += sum(len(p) for p in self.extra_paths)
         total += sum(t.size(tree) for t in self.trees)
         return total
 
@@ -195,9 +177,6 @@ class Component:
         """The piece containing *v*, or ``None``."""
         if self.path is not None and self.path.contains(tree, v):
             return self.path
-        for p in self.extra_paths:
-            if p.contains(tree, v):
-                return p
         for t in self.trees:
             if t.contains(tree, v):
                 return t

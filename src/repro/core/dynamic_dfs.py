@@ -268,9 +268,13 @@ class FullyDynamicDFS:
         (default) auto-tunes to ``~sqrt(m)``.  Counted under ``d_rebases`` /
         ``d_rebase_trigger_segments`` / ``d_rebase_trigger_pinned``.
     validate:
-        Check after every update that the maintained tree is a valid DFS forest
-        and raise :class:`NotADFSTree` otherwise.  Also enables the strict
-        invariant checks inside the parallel engine.
+        Check the tree after every update and raise
+        :class:`~repro.exceptions.NotADFSTree` if it is not a valid DFS forest
+        of the graph, and let an :class:`~repro.exceptions.InvariantViolation`
+        of the reroot engine propagate.  When
+        False (default), the engine recovers from such a violation by
+        committing a static DFS of the updated graph, counted under
+        ``update_recoveries``.
     metrics:
         Optional shared recorder; every model quantity (query rounds, queries,
         traversal rounds, ``D`` rebuild work, overlay sizes, ...) is

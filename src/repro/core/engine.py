@@ -14,6 +14,13 @@ pipeline, whatever the environment:
    backend's :class:`~repro.core.queries.QueryService`;
 5. **reroot** the affected subtrees (Theorem 12) and **commit** the new tree.
 
+**Recovery.**  Steps 4–5 never patch a broken paper invariant: the traversal
+layer and both reroot engines raise :class:`~repro.exceptions.InvariantViolation`.
+:meth:`UpdateEngine._apply_validated` is the one place that catches it.  With
+``validate=True`` it re-raises; otherwise it counts ``update_recoveries`` and
+commits a static DFS of the updated graph instead.  The backend needs no
+rebuild for that: its query service answers queries for any current tree.
+
 Historically this pipeline was implemented four times (fully dynamic,
 semi-streaming, distributed, fault tolerant), and only the in-memory driver
 had the amortized ``rebuild_every`` policy.  :class:`UpdateEngine` owns the
@@ -52,7 +59,7 @@ plus ``cost_model_triggers``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
 from repro.core.overlay import validate_update
@@ -67,8 +74,9 @@ from repro.core.updates import (
     VertexDeletion,
     VertexInsertion,
 )
-from repro.exceptions import NotADFSTree
+from repro.exceptions import InvariantViolation, NotADFSTree
 from repro.graph.graph import UndirectedGraph
+from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
@@ -162,10 +170,6 @@ class Backend:
         current *tree*."""
         raise NotImplementedError
 
-    def adjacency(self) -> Callable[[Vertex], Iterable[Vertex]]:
-        """Adjacency provider for the fallback component DFS."""
-        return self.graph.neighbor_list
-
     # ------------------------------------------------------------------ #
     # Per-update hooks
     # ------------------------------------------------------------------ #
@@ -195,6 +199,8 @@ class UpdateEngine:
     validate:
         Check the maintained tree after every :meth:`apply` (and after every
         :meth:`apply_all` batch) and raise :class:`NotADFSTree` on failure.
+        Also let an :class:`InvariantViolation` of the reroot engine propagate
+        instead of recovering from it (see the module docstring).
     initial_rebuild:
         Build the service state at construction (the fault-tolerant driver
         passes False: its preprocessed ``D`` is never rebuilt).
@@ -345,8 +351,7 @@ class UpdateEngine:
         rebuilt only when the rebuild policy demands it, so a batch of ``b``
         updates pays ``O(b / k)`` rebuilds rather than ``b``.  With
         ``validate=True`` the resulting tree is checked once at the end of the
-        batch (the parallel engine's per-task invariant checks still run
-        throughout).
+        batch (an invariant violation still raises at the update that hit it).
         """
         updates = list(updates)
         self.metrics.inc("update_batches")
@@ -424,18 +429,16 @@ class UpdateEngine:
                 self.metrics.inc("overlay_served_updates")
             backend.on_mutated(update)
 
-            service = backend.make_query_service(self._tree)
-            reduction = reduce_update(update, self._tree, service, metrics=self.metrics)
-
-            new_parent = self._tree.parent_map()
-            for v in reduction.removed_vertices:
-                new_parent.pop(v, None)
-            new_parent.update(reduction.parent_overrides)
-            if reduction.tasks:
-                engine = self._make_reroot_engine(service)
-                new_parent.update(engine.reroot_many(reduction.tasks))
-
-            if not reduction.tree_unchanged or reduction.parent_overrides or reduction.removed_vertices:
+            try:
+                new_parent = self._reduce_and_reroot(update)
+            except InvariantViolation:
+                # The one recovery point: commit a static DFS of the updated
+                # graph instead of the torn reroot.
+                if self._validate:
+                    raise
+                self.metrics.inc("update_recoveries")
+                new_parent = static_dfs_forest(backend.graph)
+            if new_parent is not None:
                 with self.metrics.timer("rebuild_tree"):
                     self._tree = DFSTree(new_parent, root=VIRTUAL_ROOT)
             backend.on_commit(self._tree)
@@ -452,16 +455,22 @@ class UpdateEngine:
         finally:
             backend.end_update(update)
 
-    def _make_reroot_engine(self, service: QueryService):
-        if self._reroot_kind == "parallel":
-            return ParallelRerootEngine(
-                self._tree,
-                service,
-                adjacency=self.backend.adjacency(),
-                metrics=self.metrics,
-                validate=self._validate,
-            )
-        return SequentialRerootEngine(self._tree, service, metrics=self.metrics)
+    def _reduce_and_reroot(self, update: Update) -> Optional[Dict[Vertex, Vertex]]:
+        """Reduce *update* to rerooting tasks and run them; return the new
+        parent map, or ``None`` when the tree is unchanged."""
+        service = self.backend.make_query_service(self._tree)
+        reduction = reduce_update(update, self._tree, service, metrics=self.metrics)
+        if reduction.tree_unchanged and not reduction.parent_overrides and not reduction.removed_vertices:
+            return None
+        new_parent = self._tree.parent_map()
+        for v in reduction.removed_vertices:
+            new_parent.pop(v, None)
+        new_parent.update(reduction.parent_overrides)
+        if reduction.tasks:
+            engine_cls = ParallelRerootEngine if self._reroot_kind == "parallel" else SequentialRerootEngine
+            engine = engine_cls(self._tree, service, metrics=self.metrics)
+            new_parent.update(engine.reroot_many(reduction.tasks))
+        return new_parent
 
     def _check(self, update: Optional[Update]) -> None:
         problems = check_dfs_tree(self.backend.graph, self._tree.parent_map())

@@ -89,7 +89,13 @@ class FaultTolerantDFS:
         byte-identical answers) or ``None`` to read the ``REPRO_BACKEND``
         environment variable.
     validate:
-        Check every produced tree with the DFS validator (tests enable this).
+        Check the tree after every update and raise
+        :class:`~repro.exceptions.NotADFSTree` if it is not a valid DFS forest
+        of the graph, and let an :class:`~repro.exceptions.InvariantViolation`
+        of the reroot engine propagate.  When
+        False (default), the engine recovers from such a violation by
+        committing a static DFS of the updated graph, counted under
+        ``update_recoveries``.
     metrics:
         Optional shared recorder.
 

@@ -14,14 +14,15 @@ Metered quantities (per ``reroot_many`` call):
   traversal);
 * ``query_rounds`` — merged query batches submitted to the service (the
   quantity bounded by ``O(log^2 n)`` in Theorem 3);
-* ``queries`` / ``queries_per_round`` — total and peak batch width;
-* ``fallback_components`` — how often the correct-by-construction fallback DFS
-  had to repair an invariant violation (expected 0).
+* ``queries`` / ``queries_per_round`` — total and peak batch width.
+
+The engine never repairs a broken invariant: a traversal's
+:class:`InvariantViolation`, like the round guard's, propagates to the caller.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.components import Component, component_from_subtree
 from repro.core.queries import EdgeQuery, QueryService
@@ -45,12 +46,6 @@ class ParallelRerootEngine:
     service:
         The :class:`~repro.core.queries.QueryService` answering edge queries
         (``D``, a streaming pass, or a CONGEST broadcast).
-    adjacency:
-        ``vertex -> iterable of neighbours``; required for the fallback
-        component DFS (drivers pass the graph's adjacency).
-    validate:
-        Raise :class:`InvariantViolation` on invariant failures instead of
-        silently repairing them (tests enable this).
     enable_heavy / enable_path_halving:
         Ablation switches, see benchmark E8.
     """
@@ -60,21 +55,16 @@ class ParallelRerootEngine:
         tree: DFSTree,
         service: QueryService,
         *,
-        adjacency: Optional[Callable[[Vertex], Iterable[Vertex]]] = None,
         metrics: Optional[MetricsRecorder] = None,
-        validate: bool = False,
         enable_heavy: bool = True,
         enable_path_halving: bool = True,
     ) -> None:
         self.tree = tree
         self.service = service
         self.metrics = metrics or MetricsRecorder("parallel_reroot")
-        self.validate = validate
         self.planner = TraversalPlanner(
             tree,
             metrics=self.metrics,
-            validate=validate,
-            adjacency=adjacency,
             enable_heavy=enable_heavy,
             enable_path_halving=enable_path_halving,
         )
@@ -95,10 +85,7 @@ class ParallelRerootEngine:
         if not active:
             return result
 
-        total_size = sum(c.size(self.tree) for c in active)
-        logn = max(total_size, 2).bit_length()
-        generation_guard = 4 * logn * logn + 64
-        round_guard = 8 * total_size + 64
+        round_guard = 8 * sum(c.size(self.tree) for c in active) + 64
 
         rounds = 0
         while active:
@@ -107,11 +94,6 @@ class ParallelRerootEngine:
             self.metrics.observe_max("active_components", len(active))
             if rounds > round_guard:
                 raise InvariantViolation("parallel rerooting did not terminate")
-
-            for comp in active:
-                if comp.phase > generation_guard and not comp.irregular:
-                    comp.irregular = True
-                    self.metrics.inc("loop_guard_triggers")
 
             finished: List[Tuple[Component, StepResult]] = []
             runners: List[List[object]] = []
@@ -160,14 +142,6 @@ class ParallelRerootEngine:
         """Write the traversed paths into the result and collect new components."""
         next_active: List[Component] = []
         for comp, step in finished:
-            if step.used_fallback or step.direct_parents:
-                for v, p in step.direct_parents.items():
-                    result[v] = p
-                root_v = step.pstar[0] if step.pstar else comp.rc
-                if root_v is not None:
-                    result[root_v] = comp.attach
-                self.metrics.inc("vertices_added", len(step.pstar))
-                continue
             prev = comp.attach
             for v in step.pstar:
                 result[v] = prev

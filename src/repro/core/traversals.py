@@ -26,17 +26,17 @@ streaming pass, or one CONGEST broadcast, depending on the backing service.
 Robustness: after carving a path, leftover pieces are reassembled by
 :meth:`TraversalPlanner._process_comp`, which *checks* the C1/C2 invariant
 (a leftover subtree adjacent to two leftover paths, or two leftover paths
-adjacent to each other, would merge components).  If a violation is detected —
-which the paper's traversals should never produce — the affected pieces are
-merged into an ``irregular`` component that the engine traverses with a
-correct-by-construction component DFS, and the event is counted in the metrics.
-The final tree is therefore always a valid DFS tree regardless.
+adjacent to each other, would merge components).  Every check here — that one,
+and the structural checks of the individual traversals — raises
+:class:`~repro.exceptions.InvariantViolation`; the planner never patches a
+violation and carries on.  Recovery happens in one place,
+:meth:`repro.core.engine.UpdateEngine._apply_validated`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.components import Component, PathPiece, TreePiece
 from repro.core.queries import Answer, EdgeQuery
@@ -59,12 +59,8 @@ class StepResult:
     pstar: List[Vertex] = field(default_factory=list)
     #: Components of the still-unvisited part, each with root/attach set.
     new_components: List[Component] = field(default_factory=list)
-    #: Parent assignments produced directly (only the fallback DFS uses this).
-    direct_parents: Dict[Vertex, Vertex] = field(default_factory=dict)
     #: Which traversal produced the result (for metrics / tests).
     traversal: str = ""
-    #: True when the fallback component DFS was used.
-    used_fallback: bool = False
 
 
 class TraversalPlanner:
@@ -76,15 +72,11 @@ class TraversalPlanner:
         The base DFS tree ``T`` (the tree being rerooted).
     metrics:
         Counter sink.
-    validate:
-        When True, structural invariants raise :class:`InvariantViolation`
-        instead of being repaired silently (used by the test-suite).
-    adjacency:
-        ``vertex -> iterable of neighbours`` callable used by the fallback
-        component DFS (and only by it).
     enable_heavy / enable_path_halving:
-        Ablation switches (benchmark E8): disabling them keeps the output
-        correct but destroys the stage/phase progress guarantees.
+        Ablation switches (benchmark E8).  Disabling path halving keeps the
+        output correct but destroys the phase progress guarantee; disabling
+        the heavy scenarios can break the C1/C2 invariant, which then raises
+        :class:`InvariantViolation`.
     """
 
     def __init__(
@@ -92,15 +84,11 @@ class TraversalPlanner:
         tree: DFSTree,
         *,
         metrics: Optional[MetricsRecorder] = None,
-        validate: bool = False,
-        adjacency=None,
         enable_heavy: bool = True,
         enable_path_halving: bool = True,
     ) -> None:
         self.tree = tree
         self.metrics = metrics or MetricsRecorder("traversals")
-        self.validate = validate
-        self.adjacency = adjacency
         self.enable_heavy = enable_heavy
         self.enable_path_halving = enable_path_halving
 
@@ -110,9 +98,6 @@ class TraversalPlanner:
     def step(self, comp: Component) -> TraversalGen:
         """Return the traversal generator appropriate for *comp*."""
         tree = self.tree
-        if comp.irregular or comp.rc is None:
-            return self._fallback(comp)
-
         if comp.path is not None and comp.path.contains(tree, comp.rc):
             if self.enable_path_halving:
                 return self._path_halving(comp)
@@ -124,10 +109,7 @@ class TraversalPlanner:
                 tau = t
                 break
         if tau is None:
-            self.metrics.inc("invariant_rc_not_found")
-            if self.validate:
-                raise InvariantViolation(f"root {comp.rc!r} not found in {comp.describe(tree)}")
-            return self._fallback(comp)
+            raise InvariantViolation(f"root {comp.rc!r} not found in {comp.describe(tree)}")
 
         heaviest = comp.heaviest_tree(tree)
         threshold = max(heaviest.size(tree) // 2, 1) if heaviest is not None else 1
@@ -144,8 +126,8 @@ class TraversalPlanner:
             return self._disconnect(comp, tau, threshold)
         if self.enable_heavy:
             return self._heavy(comp, tau, threshold, v_h)
-        # Ablation mode: treat the heavy case like a disintegrating traversal;
-        # Process-Comp's invariant checks repair (and count) the fallout.
+        # Ablation mode: treat the heavy case like a disintegrating traversal.
+        # Its leftovers can break C1/C2, and Process-Comp then raises.
         self.metrics.inc("ablation_heavy_disabled")
         return self._disintegrate(comp, tau, threshold)
 
@@ -237,65 +219,25 @@ class TraversalPlanner:
                 if ans is not None:
                     path_links.append((i, j))
 
-        # --- 3. Union pieces into components. --------------------------------
-        parent = list(range(len(paths)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        merged_any: Set[int] = set()
-        for i, j in path_links:
-            union(i, j)
-        for ti, hits in tree_hits.items():
-            for a, b in zip(hits, hits[1:]):
-                union(a, b)
-        for i, j in path_links:
-            merged_any.add(find(i))
-        for ti, hits in tree_hits.items():
-            if len(hits) > 1:
-                merged_any.add(find(hits[0]))
-
-        groups: Dict[int, Dict[str, list]] = {}
-        for pi in range(len(paths)):
-            root = find(pi)
-            groups.setdefault(root, {"paths": [], "trees": []})["paths"].append(paths[pi])
-        loose_trees: List[TreePiece] = []
+        # --- 3. Check C1/C2 and assemble the new components. ---------------
+        # Two adjacent leftover paths, or a tree adjacent to two of them, would
+        # put two path pieces into one component.
+        merged = {i for link in path_links for i in link}
+        merged.update(i for hits in tree_hits.values() if len(hits) > 1 for i in hits)
+        if merged:
+            raise InvariantViolation(
+                "leftover pieces violate the C1/C2 invariant: "
+                + ", ".join(paths[i].describe() for i in sorted(merged))
+            )
+        new_components = [Component(trees=[], path=p, phase=comp.phase + 1) for p in paths]
         for ti, hits in tree_hits.items():
             if hits:
-                groups[find(hits[0])]["trees"].append(trees[ti])
-            else:
-                loose_trees.append(trees[ti])
-
-        new_components: List[Component] = []
-        for root, grp in groups.items():
-            irregular = len(grp["paths"]) > 1 or root in merged_any
-            if irregular:
-                self.metrics.inc("invariant_merged_paths")
-                if self.validate:
-                    raise InvariantViolation(
-                        "leftover pieces violate the C1/C2 invariant: "
-                        + ", ".join(p.describe() for p in grp["paths"])
-                    )
-            primary, *extra = grp["paths"]
-            new_components.append(
-                Component(
-                    trees=grp["trees"],
-                    path=primary,
-                    extra_paths=extra,
-                    irregular=irregular,
-                    phase=comp.phase + 1,
-                )
-            )
-        for t in loose_trees:
-            new_components.append(Component(trees=[t], path=None, phase=comp.phase + 1))
+                new_components[hits[0]].trees.append(trees[ti])
+        new_components.extend(
+            Component(trees=[trees[ti]], phase=comp.phase + 1)
+            for ti, hits in tree_hits.items()
+            if not hits
+        )
 
         # --- 4. Find each new component's lowest edge on pstar. --------------
         root_queries: List[EdgeQuery] = []
@@ -318,21 +260,13 @@ class TraversalPlanner:
 
         for ci, c in enumerate(new_components):
             ans = best[ci]
-            if ans is not None:
-                c.rc, c.attach = ans[0], ans[1]
-                continue
-            # No edge to the newly traversed path: should be impossible (every
-            # leftover piece hangs from the traversed path or from a leftover
-            # path).  Repair via the base-tree parent edge, mark irregular.
-            self.metrics.inc("invariant_unattached_component")
-            if self.validate:
+            # Every leftover piece hangs from the traversed path or from a
+            # leftover path, so each new component has an edge to pstar.
+            if ans is None:
                 raise InvariantViolation(
                     f"component {c.describe(tree)} has no edge to the traversed path"
                 )
-            c.irregular = True
-            anchor = c.path.vertices[0] if c.path is not None else c.trees[0].root
-            c.rc = anchor
-            c.attach = tree.parent(anchor)
+            c.rc, c.attach = ans[0], ans[1]
         return new_components
 
     # ------------------------------------------------------------------ #
@@ -420,11 +354,7 @@ class TraversalPlanner:
         answers = yield [self._piece_query(tau, pc_t, prefer_last=True, label="disconnect_lowest")]
         lowest = answers[0]
         if lowest is None:
-            self.metrics.inc("invariant_tree_without_path_edge")
-            if self.validate:
-                raise InvariantViolation(f"{tau.describe()} has no edge to {pc.describe()}")
-            result = yield from self._fallback(comp)
-            return result
+            raise InvariantViolation(f"{tau.describe()} has no edge to {pc.describe()}")
 
         x_low, y_low = lowest
         lower_half = pos[y_low] >= (len(pc_list) - 1) / 2.0
@@ -594,12 +524,8 @@ class TraversalPlanner:
         if xp_yp is None:
             # Scenario 1 failed because of a back edge from T(v_L) into the
             # root path, which is itself a valid (x_p, y_p) candidate; reaching
-            # here means bookkeeping broke — repair via fallback.
-            self.metrics.inc("invariant_heavy_missing_xp")
-            if self.validate:
-                raise InvariantViolation("heavy traversal could not find the p-traversal edge")
-            result = yield from self._fallback(comp)
-            return result
+            # here means bookkeeping broke.
+            raise InvariantViolation("heavy traversal could not find the p-traversal edge")
 
         x_p, y_p = xp_yp
         committed, failed_edge = yield from self._try_heavy_commit(
@@ -638,8 +564,8 @@ class TraversalPlanner:
 
         # Special case (Section 4.4, Figure 5): commit the modified r' traversal
         # using the edge that defeated the previous scenario.  Stage progress
-        # may be imperfect here (documented deviation); correctness is kept by
-        # Process-Comp's invariant checks and the engine's loop guard.
+        # may be imperfect here (documented deviation); Process-Comp's
+        # invariant check still raises if the leftovers break C1/C2.
         self.metrics.inc("heavy_special_case")
         x_m, y_m = failed_edge_r if failed_edge_r is not None else (x_p, y_p)
         if y_m not in pos_root:
@@ -711,10 +637,7 @@ class TraversalPlanner:
         tree = self.tree
         pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
         if not self._is_walkable(pstar, jump):
-            self.metrics.inc("invariant_unwalkable_pstar")
-            if self.validate:
-                raise InvariantViolation(f"{scenario}: candidate traversal path is not walkable")
-            return None, None
+            raise InvariantViolation(f"{scenario}: candidate traversal path is not walkable")
         pc_list = tuple(pc.vertices)
         pc_set = set(pc_list)
 
@@ -792,11 +715,7 @@ class TraversalPlanner:
         tree = self.tree
         pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
         if not self._is_walkable(pstar, jump):
-            self.metrics.inc("invariant_unwalkable_pstar")
-            if self.validate:
-                raise InvariantViolation(f"{scenario}: committed traversal path is not walkable")
-            result = yield from self._fallback(comp)
-            return result
+            raise InvariantViolation(f"{scenario}: committed traversal path is not walkable")
         pstar_set = set(pstar)
 
         # Untraversed remainder of the root path: split into vertical runs (a
@@ -813,55 +732,3 @@ class TraversalPlanner:
 
         new_components = yield from self._process_comp(comp, pstar, leftover_paths, leftover_trees)
         return StepResult(pstar=pstar, new_components=new_components, traversal=scenario)
-
-    # ------------------------------------------------------------------ #
-    # Fallback: correct-by-construction component DFS
-    # ------------------------------------------------------------------ #
-    def _fallback(self, comp: Component) -> TraversalGen:
-        """Traverse the whole component with a plain DFS restricted to its
-        vertices.  Always correct (the components property only requires the
-        component to hang from its chosen ``rc``/``attach`` edge), but
-        sequential — every use is counted in the metrics."""
-        tree = self.tree
-        self.metrics.inc("fallback_components")
-        vertices = set(comp.vertices(tree))
-        self.metrics.inc("fallback_vertices", len(vertices))
-        if self.adjacency is None:
-            raise InvariantViolation(
-                "fallback component DFS requested but no adjacency provider was configured"
-            )
-        rc = comp.rc if comp.rc is not None else next(iter(vertices))
-        parent: Dict[Vertex, Vertex] = {}
-        visited = {rc}
-        order = [rc]
-        stack: List[Tuple[Vertex, Iterable[Vertex]]] = [(rc, iter(self.adjacency(rc)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w in vertices and w not in visited:
-                    visited.add(w)
-                    parent[w] = v
-                    order.append(w)
-                    stack.append((w, iter(self.adjacency(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-        unreached = vertices - visited
-        if unreached:
-            self.metrics.inc("fallback_unreached", len(unreached))
-            if self.validate:
-                raise InvariantViolation(
-                    f"fallback DFS could not reach {len(unreached)} vertices of the component"
-                )
-        result = StepResult(
-            pstar=order,
-            new_components=[],
-            direct_parents=parent,
-            traversal="fallback",
-            used_fallback=True,
-        )
-        if False:  # pragma: no cover - makes this function a generator
-            yield []
-        return result

@@ -806,6 +806,14 @@ class DistributedDynamicDFS:
         initiator with free dissemination to accounting-only singleton roots
         elsewhere — as the conservativeness baseline (benchmark E10 asserts
         per-component accounting never charges less).
+    validate:
+        Check the tree after every update and raise
+        :class:`~repro.exceptions.NotADFSTree` if it is not a valid DFS forest
+        of the graph, and let an :class:`~repro.exceptions.InvariantViolation`
+        of the reroot engine propagate.  When
+        False (default), the engine recovers from such a violation by
+        committing a static DFS of the updated graph, counted under
+        ``update_recoveries``.
     """
 
     def __init__(

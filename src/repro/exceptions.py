@@ -56,11 +56,12 @@ class NotADFSTree(TreeError):
 
 
 class InvariantViolation(ReproError):
-    """Raised (in ``validate=True`` mode) when a paper invariant fails.
+    """Raised when a paper invariant fails during rerooting.
 
-    The production code path never raises this for correctness-critical
-    conditions; instead it falls back to a correct component DFS and counts the
-    event.  Tests enable strict validation so that a violation fails loudly.
+    The traversal layer and the reroot engines always raise it.
+    ``UpdateEngine`` is the one place that catches it: with ``validate=True``
+    it propagates out of ``apply``; otherwise the update commits a static DFS
+    of the updated graph and counts ``update_recoveries``.
     """
 
 

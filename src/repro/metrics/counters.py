@@ -32,6 +32,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "service_rebuilds_forced": "rebuilds forced by a backend veto (re-used vertex id, due rebase) rather than the policy cadence",
     "overlay_served_updates": "updates served from the existing service state instead of a rebuild",
     "max_overlay_size": "largest overlay (masked + extra entries) observed between rebuilds",
+    "update_recoveries": "updates whose reroot raised InvariantViolation and were committed as a static DFS instead (validate=False only; expected 0)",
     "commit_listener_errors": "commit listeners that raised and were isolated by UpdateEngine (the writer is never poisoned; end_update still ran)",
     # Cost-model maintenance (MaintenanceController)
     "cost_model_triggers": "service refreshes demanded by a MaintenanceController forcing model (cost-model veto of overlay service)",
@@ -86,10 +87,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "vertices_added": "vertices attached to T* by the reroot engines",
     "max_active_components": "most unvisited components the parallel engine held at once",
     "process_comp_calls": "process-component invocations of the parallel engine",
-    "loop_guard_triggers": "parallel-engine safety-guard activations (diagnostic)",
-    "fallback_components": "components the engine re-attached with a fallback DFS",
-    "fallback_vertices": "vertices attached through the fallback DFS",
-    "fallback_unreached": "vertices a fallback DFS found unreachable (diagnostic)",
     # Parallel traversal scenarios (Theorem 12)
     "traversal_rounds": "path-halving traversal rounds of the parallel engine",
     "traversal_path_halving": "path-halving steps taken by the parallel engine",
@@ -103,12 +100,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "heavy_r_committed": "heavy traversals that committed the r-walk",
     "heavy_special_committed": "heavy traversals that committed the special-case walk",
     "ablation_heavy_disabled": "heavy traversals skipped because the ablation flag disabled them",
-    "invariant_merged_paths": "C1/C2 invariant repair: merged paths detected",
-    "invariant_rc_not_found": "C1/C2 invariant repair: r_c not found on the path",
-    "invariant_unattached_component": "C1/C2 invariant repair: unattached component detected",
-    "invariant_tree_without_path_edge": "C1/C2 invariant repair: tree lacking the path edge",
-    "invariant_unwalkable_pstar": "C1/C2 invariant repair: unwalkable p* detected",
-    "invariant_heavy_missing_xp": "C1/C2 invariant repair: heavy traversal missing x_p",
     # Sequential baseline engines
     "sequential_reroot_steps": "edges walked by the sequential reroot engine",
     "max_sequential_chain_depth": "deepest reroot chain the sequential engine followed",

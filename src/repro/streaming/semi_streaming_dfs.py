@@ -284,6 +284,14 @@ class SemiStreamingDynamicDFS:
         flat/CSR core, byte-identical trees) or ``None`` to read
         ``REPRO_BACKEND``.  The classic ``rebuild_every=1`` algorithm keeps
         no snapshot, so there the knob only accelerates the initial DFS.
+    validate:
+        Check the tree after every update and raise
+        :class:`~repro.exceptions.NotADFSTree` if it is not a valid DFS forest
+        of the graph, and let an :class:`~repro.exceptions.InvariantViolation`
+        of the reroot engine propagate.  When
+        False (default), the engine recovers from such a violation by
+        committing a static DFS of the updated graph, counted under
+        ``update_recoveries``.
     """
 
     def __init__(
@@ -298,9 +306,9 @@ class SemiStreamingDynamicDFS:
         self._backend_name = resolve_backend(backend)
         UpdateEngine.validate_options("parallel", rebuild_every)  # fail fast
         self.metrics = metrics or MetricsRecorder("semi_streaming_dfs")
-        # The "reference" graph exists only for validation and for the fallback
-        # adjacency provider; the algorithm itself touches edges only through
-        # the stream.
+        # The "reference" graph exists only for validation and for the
+        # engine's recovery DFS; the algorithm itself touches edges only
+        # through the stream.
         self._graph = native_graph(graph, self._backend_name, copy=True)
         self._stream = EdgeStream.from_graph(graph, metrics=self.metrics)
         self._vertices = set(graph.vertices())

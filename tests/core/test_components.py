@@ -47,9 +47,6 @@ def test_component_typing_and_sizes(tree):
     assert c2.heaviest_tree(tree).root == 6
     assert [t.root for t in c2.heavy_trees(tree, 1)] == [6]
     assert c2.heavy_trees(tree, 5) == []
-    irregular = Component(trees=[], path=PathPiece([0]), extra_paths=[PathPiece([7])], irregular=True)
-    assert irregular.kind == "irregular"
-    assert len(irregular.pieces()) == 2
 
 
 def test_piece_containing_and_vertices(tree):

@@ -42,7 +42,7 @@ def test_ignored_edge_becomes_back_edge():
     g = figure1_graph()
     tree = DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)
     service = BruteForceQueryService(g, tree)
-    engine = ParallelRerootEngine(tree, service, adjacency=g.neighbor_list, validate=True)
+    engine = ParallelRerootEngine(tree, service)
     # Reroot the component subtree T(3) at 3, hanging from vertex 2 (its lowest
     # edge on the path), as the components property dictates.
     assignment = engine.reroot_many([RerootTask(subtree_root=3, new_root=3, attach=2)])

@@ -113,7 +113,6 @@ def test_metrics_accumulate_per_update():
     assert delta["updates"] == 10
     assert delta.get("d_builds", 0) == 10  # rebuild_every=1: D rebuilt per update
     assert delta.get("overlay_served_updates", 0) == 0
-    assert delta.get("fallback_components", 0) == 0
 
 
 def test_amortized_policy_rebuilds_less():
@@ -126,7 +125,6 @@ def test_amortized_policy_rebuilds_less():
     assert delta["updates"] == 10
     assert delta.get("d_builds", 0) == 2  # every 5th update refreshes D
     assert delta.get("overlay_served_updates", 0) == 8
-    assert delta.get("fallback_components", 0) == 0
 
 
 def test_roots_are_children_of_virtual_root():
