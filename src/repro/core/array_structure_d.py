@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class ArrayStructureD(StructureD):
         self._frozen_slot_ids: List = []
         self._frozen_has_free = False
         self._id2slot: Optional[np.ndarray] = None  # dense int-id -> slot table
-        self._dirty: Set[Vertex] = set()
         self._materialized = False
         if not isinstance(graph, ArrayGraph):
             self._materialized = True
@@ -229,39 +228,6 @@ class ArrayStructureD(StructureD):
             # overlay-inserted vertices, disjoint from the flat rows.
             total += self._flat_total
         return total
-
-    # ------------------------------------------------------------------ #
-    # Overlay bookkeeping: track which rows the flat arrays no longer answer
-    # ------------------------------------------------------------------ #
-    def note_edge_inserted(self, u: Vertex, v: Vertex) -> None:
-        super().note_edge_inserted(u, v)
-        self._dirty.add(u)
-        self._dirty.add(v)
-
-    def note_edge_deleted(self, u: Vertex, v: Vertex) -> None:
-        super().note_edge_deleted(u, v)
-        self._dirty.add(u)
-        self._dirty.add(v)
-
-    def note_vertex_inserted(self, v: Vertex, neighbors: Iterable[Vertex]) -> None:
-        neighbors = list(neighbors)
-        super().note_vertex_inserted(v, neighbors)
-        self._dirty.add(v)
-        self._dirty.update(neighbors)
-
-    def note_vertex_deleted(self, v: Vertex) -> None:
-        # The ex-neighbours' rows now hold dead entries, so they leave the
-        # vectorized fast path too.
-        row = self._row(v)
-        if row is not None:
-            self._dirty.update(list(row[1]))
-        self._dirty.update(self._overlay_neighbors(v))
-        self._dirty.add(v)
-        super().note_vertex_deleted(v)
-
-    def reset_overlays(self) -> None:
-        super().reset_overlays()
-        self._dirty.clear()
 
     # ------------------------------------------------------------------ #
     # Absorb: degrade to the exact dict representation, then reuse it
@@ -453,7 +419,7 @@ class ArrayStructureD(StructureD):
             self.__dict__.pop("_flat_ids", None)
         # Absorbed rows answer from the flat arrays again; only rows with
         # pinned cross entries stay off the vectorized fast path.
-        self._dirty = {u for u, lst in self._cross_edges.items() if lst}
+        self._absorbed()
         if self._metrics is not None:
             self._metrics.inc("d_absorbs")
             self._metrics.inc("d_absorb_work", work)

@@ -21,13 +21,14 @@ path" (Section 2 of the paper).  The engines express those queries as
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.tree_utils import ancestor_descendant_segments
+from repro.tree.tree_utils import ancestor_descendant_segments, segment_orientation
 
 Vertex = Hashable
 Answer = Optional[Tuple[Vertex, Vertex]]  # (source endpoint, target/path endpoint)
@@ -120,6 +121,21 @@ class QueryService:
     def answer(self, query: EdgeQuery) -> Answer:
         """Convenience wrapper for a single query."""
         return self.answer_batch([query])[0]
+
+
+@dataclass
+class _Sources:
+    """One query's source piece, split once for all its probed segments
+    (built by :meth:`DQueryService._split_sources`)."""
+
+    clean_posts: List[int]
+    clean: List[Tuple[int, int, Vertex]]  # (base post, source index, vertex), by post
+    scalar: List[Tuple[int, Vertex]]  # (source index, vertex) for dirty/unindexed rows
+    # Reversed direction only: vertical base-tree runs of the piece as
+    # (top, bottom), each run vertex's first run, and the piece as a set.
+    run_ranges: List[Tuple[Vertex, Vertex]] = field(default_factory=list)
+    run_of: Optional[Dict[Vertex, int]] = None
+    src_set: Set[Vertex] = field(default_factory=set)
 
 
 def _position_map(target: Sequence[Vertex]) -> Dict[Vertex, int]:
@@ -263,8 +279,11 @@ class DQueryService(QueryService):
             reverse=True,
         )
         best: Answer = None
+        sources: Optional[_Sources] = None
         for seg in ordered_segments:
-            found = self._probe_segment(q, seg, pos, source_list)
+            if sources is None:
+                sources = self._split_sources(q, source_list)
+            found = self._probe_segment(q, seg, pos, sources)
             best = _better(pos, q.prefer_last, best, found)
             if found is not None:
                 break
@@ -372,68 +391,137 @@ class DQueryService(QueryService):
             self._metrics.inc("d_reanchor_probes", max(probes, 1))
         return best
 
-    def _probe_segment(
-        self, q: EdgeQuery, seg: List[Vertex], pos: Dict[Vertex, int], source_list: List[Vertex]
-    ) -> Answer:
+    def _split_sources(self, q: EdgeQuery, source_list: List[Vertex]) -> "_Sources":
+        """Split the source piece once per query, for every probed segment.
+
+        Clean sources (base-tree vertices whose rows no overlay touched) are
+        kept sorted by base post-order with their position in *source_list*;
+        the rest keep the scalar ``neighbor_on_segment`` call.  The reversed
+        direction additionally needs the piece's vertical runs of the base
+        tree and an index from each run vertex to its first run.
+        """
         tree = self._tree
+        dirty = self._d.dirty_rows()
+        clean: List[Tuple[int, int, Vertex]] = []
+        scalar: List[Tuple[int, Vertex]] = []
+        for i, u in enumerate(source_list):
+            if u in tree and u not in dirty:
+                clean.append((tree.postorder(u), i, u))
+            else:
+                scalar.append((i, u))
+        clean.sort()
+        sources = _Sources([c[0] for c in clean], clean, scalar)
+        # Reversed direction: needed when the source may contain base-tree
+        # *ancestors* of target vertices: always for path-piece sources, and
+        # for every source kind in the fault-tolerant / amortized-overlay
+        # setting, where pieces are subtrees/paths of the current tree
+        # T*_{i-1} rather than of D's base tree (Theorem 9).  The source is
+        # decomposed into vertical runs of the base tree so each probe stays
+        # a range search.
+        if q.source_kind in ("path", "vertices") or self._source_tree is not tree:
+            src_known = [v for v in source_list if v in tree]
+            runs = ancestor_descendant_segments(tree, src_known) if src_known else []
+            sources.run_ranges = [segment_orientation(tree, run) for run in runs]
+            run_of: Dict[Vertex, int] = {}
+            for r, run in enumerate(runs):
+                for v in run:
+                    run_of.setdefault(v, r)
+            sources.run_of = run_of
+            sources.src_set = set(source_list)
+        return sources
+
+    def _probe_segment(
+        self, q: EdgeQuery, seg: List[Vertex], pos: Dict[Vertex, int], sources: "_Sources"
+    ) -> Answer:
+        """Best edge from the source piece to one vertical segment of the target.
+
+        Runs the Theorem 8 processors of both directions.  A processor on a
+        clean row decides its range search with one entry of the row's
+        ancestor part (:meth:`StructureD.up_neighbors
+        <repro.core.structure_d.StructureD.up_neighbors>`): the first
+        in-range entry is alive and on the piece, or the range is empty.  So
+        each clean search is one vertex query and one probe, added to
+        ``d_vertex_queries`` / ``d_probes`` in bulk; dirty and unindexed rows
+        keep the scalar :meth:`StructureD.neighbor_on_segment
+        <repro.core.structure_d.StructureD.neighbor_on_segment>` call, which
+        counts itself.
+        """
+        tree = self._tree
+        d = self._d
+        up = d.up_neighbors
         seg_set = set(seg)
-        top, bottom = (seg[0], seg[-1]) if tree.level(seg[0]) <= tree.level(seg[-1]) else (seg[-1], seg[0])
+        on_segment = seg_set.__contains__
+        top, bottom = segment_orientation(tree, seg)
         # Inside the segment, positions on the target path are monotone, so the
         # preferred end of the target corresponds to either the segment's top or
         # bottom endpoint.
         preferred_vertex = seg[-1] if q.prefer_last else seg[0]
         prefer_bottom = preferred_vertex == bottom
+        clean_searches = len(sources.clean)
 
-        def on_segment(w: Vertex) -> bool:
-            return w in seg_set
-
-        best: Answer = None
         # Direct direction: every source vertex searches its sorted list for a
         # neighbour on the segment (finds edges whose target endpoint is a
         # base-tree ancestor of the source vertex — the only possibility for
-        # subtree sources in the fully dynamic setting).
-        for u in source_list:
-            w = self._d.neighbor_on_segment(u, top, bottom, prefer_bottom=prefer_bottom, on_segment=on_segment)
+        # subtree sources in the fully dynamic setting).  Only clean sources
+        # inside T_base(top), one post-order interval, can have such an
+        # ancestor; the segment vertices among the ancestors are contiguous,
+        # so the deepest (or shallowest) one is the range search's answer.
+        hits: List[Tuple[int, Vertex, Vertex]] = []
+        hi = tree.postorder(top)
+        lo = hi - tree.subtree_size(top) + 1
+        first = bisect_left(sources.clean_posts, lo)
+        last = bisect_right(sources.clean_posts, hi)
+        for _, i, u in sources.clean[first:last]:
+            ups = up(u)
+            for w in ups if prefer_bottom else reversed(ups):
+                if w in seg_set:
+                    hits.append((i, u, w))
+                    break
+        for i, u in sources.scalar:
+            w = d.neighbor_on_segment(u, top, bottom, prefer_bottom=prefer_bottom, on_segment=on_segment)
             if w is not None:
-                best = _better(pos, q.prefer_last, best, (u, w))
+                hits.append((i, u, w))
+        # Ties on the target position go to the earlier source vertex.
+        best: Answer = None
+        for _, u, w in sorted(hits):
+            best = _better(pos, q.prefer_last, best, (u, w))
 
-        # Reversed direction: every segment vertex searches for a neighbour on
-        # the source piece.  Needed when the source may contain base-tree
-        # *ancestors* of target vertices: always for path-piece sources, and for
-        # every source kind in the fault-tolerant / amortized-overlay setting,
-        # where pieces are subtrees/paths of the current tree T*_{i-1} rather
-        # than of D's base tree (Theorem 9).  The source is decomposed into
-        # vertical runs of the base tree so each probe stays a range search.
-        overlay_view = self._source_tree is not self._tree
-        if q.source_kind in ("path", "vertices") or overlay_view:
-            src_known = [v for v in source_list if v in tree]
-            src_set = set(source_list)
-
-            def on_source(w: Vertex) -> bool:
-                return w in src_set
-
-            src_segments = ancestor_descendant_segments(tree, src_known) if src_known else []
-            src_ranges = []
-            for s_seg in src_segments:
-                s_top, s_bottom = (
-                    (s_seg[0], s_seg[-1])
-                    if tree.level(s_seg[0]) <= tree.level(s_seg[-1])
-                    else (s_seg[-1], s_seg[0])
-                )
-                src_ranges.append((s_top, s_bottom))
-
+        # Reversed direction: every segment vertex searches its list for a
+        # neighbour on the source piece, one range search per source run.  A
+        # clean target row answers all of them with one pass over its
+        # ancestors: the first run hit is the smallest run index, and the
+        # deepest ancestor on that run is what its range search returns.
+        run_of = sources.run_of
+        if run_of is not None:
+            run_ranges = sources.run_ranges
+            n_runs = len(run_ranges)
+            dirty = d.dirty_rows()
+            on_source = sources.src_set.__contains__
             iteration = reversed(seg) if preferred_vertex == seg[-1] else seg
             for t in iteration:
                 hit = None
-                for s_top, s_bottom in src_ranges:
-                    hit = self._d.neighbor_on_segment(
-                        t, s_top, s_bottom, prefer_bottom=True, on_segment=on_source
-                    )
-                    if hit is not None:
-                        break
+                if t not in dirty:
+                    hit_run = n_runs
+                    for w in up(t):
+                        r = run_of.get(w)
+                        if r is not None and r < hit_run:
+                            hit_run, hit = r, w
+                            if r == 0:
+                                break
+                    clean_searches += n_runs if hit is None else hit_run + 1
+                else:
+                    for s_top, s_bottom in run_ranges:
+                        hit = d.neighbor_on_segment(
+                            t, s_top, s_bottom, prefer_bottom=True, on_segment=on_source
+                        )
+                        if hit is not None:
+                            break
                 if hit is not None:
                     best = _better(pos, q.prefer_last, best, (hit, t))
                     break
+        if self._metrics is not None and clean_searches:
+            self._metrics.inc("d_vertex_queries", clean_searches)
+            self._metrics.inc("d_probes", clean_searches)
         return best
 
     def _probe_unknown_targets(

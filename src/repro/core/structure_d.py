@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import VertexNotFound
 from repro.graph.graph import UndirectedGraph
@@ -84,6 +84,10 @@ class StructureD:
         # back-edge property the range searches rely on; absorb_overlays()
         # parks them here and queries keep scanning them like overlays.
         self._cross_edges: Dict[Vertex, List[Vertex]] = {}
+        # Rows an overlay has touched (see dirty_rows()), and the cached
+        # ancestor part of every clean row the queries asked for.
+        self._dirty: Set[Vertex] = set()
+        self._up_cache: Dict[Vertex, Tuple[Vertex, ...]] = {}
         self._next_virtual_post = tree.num_vertices  # inserted vertices go last
         # EWMA of target segments per query: the divergence signal the
         # absorb-mode auto-rebase policy watches.  A fresh structure (base
@@ -154,6 +158,39 @@ class StructureD:
         except KeyError:
             raise VertexNotFound(v) from None
 
+    def dirty_rows(self) -> AbstractSet[Vertex]:
+        """Vertices whose rows a Theorem 9 overlay has touched (live view;
+        callers must not mutate it).
+
+        A row is dirty when its vertex has overlay or pinned neighbours, a
+        masked edge, a deleted neighbour, or is deleted itself.  Every other
+        row of a base-tree vertex holds exactly its alive neighbours, each a
+        base-tree ancestor or descendant, so a range search on it is decided
+        by its first in-range entry.  An absorb leaves only the rows with
+        pinned cross entries dirty; a reset leaves none.
+        """
+        return self._dirty
+
+    def up_neighbors(self, v: Vertex) -> Tuple[Vertex, ...]:
+        """Entries of base-tree vertex *v*'s base row above ``post(v)``,
+        deepest first.
+
+        On a clean row (see :meth:`dirty_rows`) these are exactly *v*'s alive
+        neighbours among its base-tree ancestors.  Cached per vertex: only an
+        absorb edits base rows of base-tree vertices, and every absorb drops
+        the cache; a rebuild constructs a new structure.
+        """
+        ups = self._up_cache.get(v)
+        if ups is None:
+            row = self._row(v)
+            if row is None:
+                ups = ()
+            else:
+                posts, nbrs = row
+                ups = tuple(nbrs[bisect_right(posts, self._tree.postorder(v)) :])
+            self._up_cache[v] = ups
+        return ups
+
     def indexes_vertex(self, v: Vertex) -> bool:
         """True iff the structure has a post-order number for *v* (either from
         the base tree or from an earlier overlay insertion).  Drivers use this
@@ -170,6 +207,8 @@ class StructureD:
         self._deleted_edges.discard(key)
         self._extra_edges.setdefault(u, []).append(v)
         self._extra_edges.setdefault(v, []).append(u)
+        self._dirty.add(u)
+        self._dirty.add(v)
 
     def note_edge_deleted(self, u: Vertex, v: Vertex) -> None:
         """Record the deletion of edge ``(u, v)``.
@@ -186,6 +225,8 @@ class StructureD:
             if lst_v and u in lst_v:
                 lst_v.remove(u)
         self._deleted_edges.add(frozenset((u, v)))
+        self._dirty.add(u)
+        self._dirty.add(v)
 
     def note_vertex_inserted(self, v: Vertex, neighbors: Iterable[Vertex]) -> None:
         """Record the insertion of vertex *v* with the given incident edges.
@@ -200,19 +241,23 @@ class StructureD:
         masked first: discarding *v* from the deleted-vertex set must not bring
         edges back to life that the updated graph no longer has.
         """
+        # Mirror the graph layer's normalisation: self loops dropped,
+        # duplicates collapsed — otherwise the overlay's alive-edge view
+        # diverges from the graph and overlay_size() over-counts.
+        neighbors = [w for w in dict.fromkeys(neighbors) if w != v]
+        self._dirty.add(v)
+        self._dirty.update(neighbors)
         for w in self._base_row_neighbors(v):
             self._deleted_edges.add(frozenset((v, w)))
+            self._dirty.add(w)
         for store in (self._extra_edges, self._cross_edges):
             stale = store.get(v)
             if stale:
                 for w in stale:
                     self._deleted_edges.add(frozenset((v, w)))
+                self._dirty.update(stale)
                 store[v] = []
         self._deleted_vertices.discard(v)
-        # Mirror the graph layer's normalisation: self loops dropped,
-        # duplicates collapsed — otherwise the overlay's alive-edge view
-        # diverges from the graph and overlay_size() over-counts.
-        neighbors = [w for w in dict.fromkeys(neighbors) if w != v]
         if v in self._tree:
             # Re-used base-tree id: the base lists and post-order number are
             # kept (so reset_overlays() restores the pristine structure and
@@ -237,6 +282,10 @@ class StructureD:
 
     def note_vertex_deleted(self, v: Vertex) -> None:
         """Record the deletion of vertex *v* (its stale entries are masked)."""
+        # The ex-neighbours' rows now hold dead entries.
+        self._dirty.add(v)
+        self._dirty.update(self._base_row_neighbors(v))
+        self._dirty.update(self._overlay_neighbors(v))
         self._deleted_vertices.add(v)
 
     def reset_overlays(self) -> None:
@@ -248,6 +297,7 @@ class StructureD:
         self._cross_edges.clear()
         self._deleted_edges.clear()
         self._deleted_vertices.clear()
+        self._dirty.clear()
         # Drop sorted lists of vertices that only exist through overlays.
         for v in [v for v in self._sorted_nbrs if v not in self._tree and not self._graph.has_vertex(v)]:
             self._sorted_nbrs.pop(v, None)
@@ -437,10 +487,19 @@ class StructureD:
                         seen.add(w)
                     work += 1
         self._extra_edges.clear()
+        self._absorbed()
         if self._metrics is not None:
             self._metrics.inc("d_absorbs")
             self._metrics.inc("d_absorb_work", work)
             self._metrics.observe_max("pinned_overlay_size", self.pinned_size())
+
+    def _absorbed(self) -> None:
+        """Row bookkeeping after an absorb: absorbed rows are clean again,
+        only rows with pinned cross entries stay dirty, and the cached
+        :meth:`up_neighbors` of the edited rows are dropped."""
+        self._dirty.clear()
+        self._dirty.update(u for u, lst in self._cross_edges.items() if lst)
+        self._up_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -48,8 +48,8 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_rebase_trigger_segments": "rebases triggered by the per-query segment EWMA crossing its threshold",
     "d_rebase_trigger_pinned": "rebases triggered by the pinned side lists outgrowing the overlay budget",
     "avg_target_segments": "EWMA of target segments per query against absorb-mode D (gauge)",
-    "d_vertex_queries": "per-source-vertex range searches answered by D",
-    "d_probes": "adjacency entries touched by D's range searches",
+    "d_vertex_queries": "Theorem 8 model count: one per simulated processor range search in D (a search on a clean row is added in bulk, not one Python call each)",
+    "d_probes": "Theorem 8 model count: adjacency entries the simulated range searches touch (exactly one per clean-row search, added in bulk)",
     "d_target_segments": "base-tree segments the query targets decomposed into",
     "max_d_target_segments_per_query": "largest segment decomposition one query needed",
     "d_reanchor_probes": "adjacency entries touched while re-anchoring canonical source endpoints",

@@ -77,10 +77,12 @@ def test_ablation_disabling_path_halving_degrades_rounds():
 
 def test_disconnecting_traversal_produces_valid_tree_on_comb():
     g = comb_with_back_edges(16, 8)
-    tip = 16 + 8 * 16 - 1  # deepest vertex of the last tooth
-    parent, _, _ = run_reroot(g, [RerootTask(subtree_root=0, new_root=tip, attach=VIRTUAL_ROOT)])
+    # Rerooting at the second spine vertex enters the disconnecting case;
+    # rerooting at a tooth tip only disintegrates and halves paths.
+    parent, metrics, _ = run_reroot(g, [RerootTask(subtree_root=0, new_root=1, attach=VIRTUAL_ROOT)])
     assert check_dfs_tree(g, parent) == []
-    assert parent[tip] == VIRTUAL_ROOT
+    assert parent[1] == VIRTUAL_ROOT
+    assert metrics["traversal_disconnecting"] > 0
 
 
 def test_heavy_subtree_traversal_is_exercised_and_correct():
