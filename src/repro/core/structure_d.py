@@ -487,19 +487,15 @@ class StructureD:
                         seen.add(w)
                     work += 1
         self._extra_edges.clear()
-        self._absorbed()
+        # Absorbed rows are clean again: only rows with pinned cross entries
+        # stay dirty, and the cached up_neighbors of edited rows are dropped.
+        self._dirty.clear()
+        self._dirty.update(u for u, lst in self._cross_edges.items() if lst)
+        self._up_cache.clear()
         if self._metrics is not None:
             self._metrics.inc("d_absorbs")
             self._metrics.inc("d_absorb_work", work)
             self._metrics.observe_max("pinned_overlay_size", self.pinned_size())
-
-    def _absorbed(self) -> None:
-        """Row bookkeeping after an absorb: absorbed rows are clean again,
-        only rows with pinned cross entries stay dirty, and the cached
-        :meth:`up_neighbors` of the edited rows are dropped."""
-        self._dirty.clear()
-        self._dirty.update(u for u, lst in self._cross_edges.items() if lst)
-        self._up_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Queries

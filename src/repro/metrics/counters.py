@@ -55,8 +55,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_reanchor_probes": "adjacency entries touched while re-anchoring canonical source endpoints",
     "d_overlay_view_queries": "queries answered while D's base tree differs from the current tree",
     # Array backend (flat/CSR core of ArrayStructureD)
-    "d_flat_materializations": "flat array rows degraded to python lists (only when an overlay absorb involves vertex updates; edge-only absorbs stay flat)",
-    "d_flat_absorbs": "vectorized in-place absorbs of edge-only overlays into the flat array core (no materialization)",
+    "d_flat_materializations": "flat array rows expanded to python lists by the first overlay absorb after a build (later absorbs reuse the lists until the next rebuild)",
     "d_batch_queries": "batched min-postorder re-anchor calls answered by D",
     "d_batch_query_fallbacks": "batched re-anchor calls that fell back entirely to the scalar path",
     # Query services

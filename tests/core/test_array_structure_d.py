@@ -2,9 +2,8 @@
 
 Everything here is differential against the dict reference ``StructureD`` —
 identical rows, identical query answers, identical probe counters — plus the
-array-only machinery: the batched re-anchor path, its scalar fallbacks, the
-in-place flat absorb of edge-only overlay epochs, and the materialization
-fallback for epochs with vertex overlays.
+array-only machinery: the batched re-anchor path, its scalar fallbacks, and
+the one-way materialization that lets the array core reuse the dict absorb.
 """
 
 from __future__ import annotations
@@ -37,6 +36,29 @@ def _interval(tree, root):
     return hi - tree.subtree_size(root) + 1, hi
 
 
+def _assert_same_rows(da, dd, verts, label):
+    for v in verts:
+        rd = dd._row(v)
+        ra = da._row(v)
+        if rd is None:
+            assert ra is None, (label, v)
+        else:
+            assert list(ra[0]) == list(rd[0]), (label, v)  # postorders
+            assert list(ra[1]) == list(rd[1]), (label, v)  # neighbour ids
+
+
+def _assert_same_batch(da, dd, us, tree, rng, label):
+    tverts = [v for v in tree.vertices() if v != VIRTUAL_ROOT]
+    los, his = [], []
+    for _ in us:
+        lo, hi = _interval(tree, rng.choice(tverts))
+        los.append(lo)
+        his.append(hi)
+    assert da.min_post_alive_neighbor_batch(
+        us, los, his
+    ) == StructureD.min_post_alive_neighbor_batch(dd, us, los, his), label
+
+
 def test_build_matches_dict_reference_exactly():
     g, ag, tree = _pair()
     md, ma = MetricsRecorder(), MetricsRecorder()
@@ -44,14 +66,7 @@ def test_build_matches_dict_reference_exactly():
     da = ArrayStructureD(ag, tree, metrics=ma)
     assert da.size() == dd.size()
     assert ma["d_build_work"] == md["d_build_work"]
-    for v in g.vertices():
-        row_d = dd._row(v)
-        row_a = da._row(v)
-        if row_d is None:
-            assert row_a is None, v
-        else:
-            assert list(row_a[0]) == list(row_d[0]), v  # postorders
-            assert list(row_a[1]) == list(row_d[1]), v  # neighbour ids
+    _assert_same_rows(da, dd, g.vertices(), "build")
 
 
 def test_scalar_queries_identical_with_and_without_overlays():
@@ -98,10 +113,12 @@ def test_batch_reanchor_identical_and_counts_fallbacks():
     assert ma["d_batch_query_fallbacks"] == 0
 
 
-def test_edge_only_absorb_stays_flat_and_matches_dict():
-    """Edge-only overlay epochs absorb into the flat arrays in place: no
-    materialization, and rows / pinned lists / ``d_absorb_work`` are
-    byte-identical to the dict backend's absorb across repeated epochs."""
+def test_absorb_epochs_match_dict_and_rebuild_returns_to_flat():
+    """Repeated absorb epochs mixing edge deletions and insertions, vertex
+    deletions, and fresh and re-used vertex insertions: the array core
+    materializes once, then its rows, pinned lists, ``d_absorb_work`` and
+    batched re-anchor answers equal the dict core's after every epoch.  A
+    structure rebuilt on the updated graph answers from flat arrays again."""
     rng = random.Random(4242)
     for trial in range(25):
         n = rng.randrange(4, 40)
@@ -109,80 +126,73 @@ def test_edge_only_absorb_stays_flat_and_matches_dict():
         md, ma = MetricsRecorder(), MetricsRecorder()
         dd = StructureD(g, tree, metrics=md)
         da = ArrayStructureD(ag, tree, metrics=ma)
-        verts = list(g.vertices())
+        known = list(g.vertices())
+        alive = set(known)
+        deleted = set()
         present = {frozenset(e) for e in g.edges()}
-        for epoch in range(rng.randrange(1, 4)):
-            for _ in range(rng.randrange(0, 12)):
-                if rng.random() < 0.45 and present:
+        next_id = max(known) + 1
+        for epoch in range(rng.randrange(1, 5)):
+            for _ in range(rng.randrange(0, 14)):
+                r = rng.random()
+                if r < 0.35 and present:
                     u, v = tuple(rng.choice(sorted(present, key=sorted)))
                     present.discard(frozenset((u, v)))
-                    dd.note_edge_deleted(u, v)
-                    da.note_edge_deleted(u, v)
-                else:
-                    u, v = rng.sample(verts, 2)
+                    for s, gr in ((dd, g), (da, ag)):
+                        s.note_edge_deleted(u, v)
+                        gr.remove_edge(u, v)
+                elif r < 0.65 and len(alive) >= 2:
+                    u, v = rng.sample(sorted(alive), 2)
                     if frozenset((u, v)) in present:
                         continue
                     present.add(frozenset((u, v)))
-                    dd.note_edge_inserted(u, v)
-                    da.note_edge_inserted(u, v)
+                    for s, gr in ((dd, g), (da, ag)):
+                        s.note_edge_inserted(u, v)
+                        gr.add_edge(u, v)
+                elif r < 0.8 and len(alive) >= 2:
+                    v = rng.choice(sorted(alive))
+                    alive.discard(v)
+                    deleted.add(v)
+                    present = {e for e in present if v not in e}
+                    for s, gr in ((dd, g), (da, ag)):
+                        s.note_vertex_deleted(v)
+                        gr.remove_vertex(v)
+                else:
+                    if deleted and rng.random() < 0.5:
+                        v = rng.choice(sorted(deleted))  # re-used id
+                        deleted.discard(v)
+                    else:
+                        v = next_id
+                        next_id += 1
+                        known.append(v)
+                    nbrs = rng.sample(sorted(alive), min(len(alive), rng.randrange(0, 4)))
+                    alive.add(v)
+                    present.update(frozenset((v, w)) for w in nbrs)
+                    for s, gr in ((dd, g), (da, ag)):
+                        s.note_vertex_inserted(v, nbrs)
+                        gr.add_vertex_with_edges(v, nbrs)
+            label = (trial, epoch)
             dd.absorb_overlays()
             da.absorb_overlays()
-            assert not da._materialized, trial
-            assert ma["d_flat_absorbs"] == epoch + 1
-            assert ma["d_flat_materializations"] == 0
-            assert ma["d_absorb_work"] == md["d_absorb_work"], (trial, epoch)
-            for v in tree.vertices():
-                rd = dd._row(v)
-                ra = da._row(v)
-                if rd is None or len(rd[0]) == 0:
-                    assert ra is None or len(ra[0]) == 0, (trial, v)
-                else:
-                    assert list(ra[0]) == list(rd[0]), (trial, v)
-                    assert list(ra[1]) == list(rd[1]), (trial, v)
+            assert ma["d_flat_materializations"] == 1, label
+            assert ma["d_absorbs"] == md["d_absorbs"] == epoch + 1, label
+            assert ma["d_absorb_work"] == md["d_absorb_work"], label
+            _assert_same_rows(da, dd, known, label)
             assert {k: v for k, v in da._cross_edges.items() if v} == {
                 k: v for k, v in dd._cross_edges.items() if v
-            }, trial
-            us = [rng.choice(verts) for _ in range(25)]
-            los, his = [], []
-            for _ in us:
-                lo, hi = _interval(tree, rng.choice(verts))
-                los.append(lo)
-                his.append(hi)
-            assert da.min_post_alive_neighbor_batch(
-                us, los, his
-            ) == StructureD.min_post_alive_neighbor_batch(dd, us, los, his), trial
-
-
-def test_sustained_churn_absorbs_never_materialize():
-    """The ISSUE follow-up closed by the flat absorb: on the edge-only
-    ``sustained_churn`` scenario every absorb epoch stays in the flat core
-    (``d_flat_materializations == 0``) while answers and absorb work remain
-    identical to the dict driver."""
-    from repro.core.dynamic_dfs import FullyDynamicDFS
-    from repro.workloads.scenarios import build_scenario
-
-    scenario = build_scenario("sustained_churn", n=64, seed=3, updates=100)
-
-    def run(backend):
-        m = MetricsRecorder(backend)
-        dyn = FullyDynamicDFS(
-            scenario.graph.copy(),
-            backend=backend,
-            metrics=m,
-            d_maintenance="absorb",
-            rebuild_every=4,
-        )
-        for u in scenario.updates:
-            dyn.apply(u)
-        return dyn, m
-
-    dyn_a, ma = run("array")
-    dyn_d, md = run("dict")
-    assert dyn_a.tree.parent_map() == dyn_d.tree.parent_map()
-    assert ma["d_absorbs"] == md["d_absorbs"] >= 1
-    assert ma["d_flat_absorbs"] == ma["d_absorbs"]
-    assert ma["d_flat_materializations"] == 0
-    assert ma["d_absorb_work"] == md["d_absorb_work"]
+            }, label
+            us = [rng.choice(sorted(alive)) for _ in range(25)]
+            _assert_same_batch(da, dd, us, tree, rng, label)
+        # A rebuild on the updated graph starts from fresh flat arrays.
+        tree2 = DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)
+        ma2 = MetricsRecorder()
+        da2 = ArrayStructureD(ag, tree2, metrics=ma2)
+        dd2 = StructureD(g, tree2)
+        assert not da2._materialized, trial
+        assert all(isinstance(da2._row(v)[0], np.ndarray) for v in alive), trial
+        _assert_same_rows(da2, dd2, known, trial)
+        us = [rng.choice(sorted(alive)) for _ in range(25)]
+        _assert_same_batch(da2, dd2, us, tree2, rng, trial)
+        assert ma2["d_batch_query_fallbacks"] == 0, trial
 
 
 def test_batch_falls_back_after_materialization():

@@ -1,83 +1,68 @@
-"""Public-API docstring enforcement (pydocstyle-lite).
+"""Public-API docstring contract, checked by repro-lint's public-api rule.
 
-Every exported driver/engine class — and every public method, property,
-classmethod and staticmethod on it — must carry a non-empty docstring: the
-docstring pass of PR 5 made the knobs, emitted counters and complexities part
-of the API surface, and this test keeps new public members from shipping
-undocumented.  Inherited members are checked on the class that *defines*
-them, so a subclass only answers for what it overrides.
+The contract lives in one place, ``tools/lint/rules/public_api.py``: every
+class on the exported surface (``PUBLIC_API``), and every public member
+defined on it, carries a docstring, and the driver docstrings keep naming
+their knobs (``KNOB_DOCS``).  These tests run that rule on the surface files
+and check that the surface map names real ``repro`` classes.
 """
 
 from __future__ import annotations
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.core.dynamic_dfs import FullyDynamicDFS
-from repro.core.engine import Backend, UpdateEngine
-from repro.core.fault_tolerant import FaultTolerantDFS
-from repro.core.maintenance import CostModel, CostSignal, MaintenanceController
-from repro.distributed.distributed_dfs import CongestBackend, DistributedDynamicDFS
-from repro.distributed.network import CongestNetwork
-from repro.metrics.counters import MetricsRecorder
-from repro.service import BatchingQueryFront, DFSTreeService, TreeSnapshot
-from repro.shard import HashRing, ShardRouter, ShardWorker
-from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
+from tools.lint.core import Linter
+from tools.lint.rules.public_api import KNOB_DOCS, PUBLIC_API, PublicApiChecker
 
-#: The exported API surface the docstring contract covers: the four public
-#: drivers, the shared engine/backend protocol, the maintenance controller,
-#: the metrics recorder, the CONGEST simulator, the MVCC query service and
-#: the sharded multi-tenant router.
-PUBLIC_CLASSES = [
-    FullyDynamicDFS,
-    FaultTolerantDFS,
-    SemiStreamingDynamicDFS,
-    DistributedDynamicDFS,
-    UpdateEngine,
-    Backend,
-    CongestBackend,
-    CongestNetwork,
-    MaintenanceController,
-    CostModel,
-    CostSignal,
-    MetricsRecorder,
-    DFSTreeService,
-    TreeSnapshot,
-    BatchingQueryFront,
-    ShardRouter,
-    ShardWorker,
-    HashRing,
-]
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Class name -> repo-relative path of the module defining it.
+_CLASS_PATH = {name: rel for rel, names in PUBLIC_API.items() for name in names}
 
 
-def _public_members(cls):
-    """(name, docstring) for every public callable/property *defined on* cls."""
-    for name, member in vars(cls).items():
-        if name.startswith("_"):
-            continue
-        if isinstance(member, property):
-            yield name, (member.fget.__doc__ if member.fget else None)
-        elif isinstance(member, (classmethod, staticmethod)):
-            yield name, member.__func__.__doc__
-        elif callable(member):
-            yield name, member.__doc__
+@pytest.fixture(scope="module")
+def findings():
+    """The public-api rule's findings on the surface files (suppressions of
+    other rules read as unused when only this rule runs, so drop those)."""
+    result = Linter(REPO_ROOT, [PublicApiChecker()]).lint_paths(sorted(PUBLIC_API))
+    assert result.files == len(PUBLIC_API)
+    return [d for d in result.findings if d.rule in PublicApiChecker.rules]
 
 
-@pytest.mark.parametrize("cls", PUBLIC_CLASSES, ids=lambda c: c.__name__)
-def test_public_class_and_members_have_docstrings(cls):
-    assert (cls.__doc__ or "").strip(), f"{cls.__name__} lacks a class docstring"
-    missing = [
-        name for name, doc in _public_members(cls) if not (doc or "").strip()
-    ]
-    assert not missing, (
-        f"{cls.__name__} has undocumented public members: {sorted(missing)} "
-        "(document the knobs, the counters they emit, and the complexity)"
-    )
+def test_public_api_paths_exist():
+    for rel in PUBLIC_API:
+        assert (REPO_ROOT / rel).is_file(), rel
 
 
-def test_driver_docstrings_name_their_knobs():
-    """The driver docstrings must keep naming the knobs they accept — the
-    minimal 'docs follow the code' check for the parameters PR 5 added."""
-    assert "rebuild_every" in FullyDynamicDFS.__doc__
-    for knob in ("rebuild_every", "local_repair", "drift_rebuild_cost",
-                 "voluntary_root", "component_accounting"):
-        assert knob in DistributedDynamicDFS.__doc__, knob
+def test_public_api_lints_clean(findings):
+    assert not findings, "\n".join(d.format() for d in findings)
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_PATH))
+def test_public_class_and_members_have_docstrings(name, findings):
+    """The listed class imports from ``repro`` where the map says it lives,
+    and the static rule reports nothing on it or its members."""
+    module_name = _CLASS_PATH[name][len("src/"):-len(".py")].replace("/", ".")
+    module = importlib.import_module(module_name)
+    cls = getattr(module, name, None)
+    assert isinstance(cls, type) and cls.__module__ == module_name, name
+    # A subpackage that re-exports the name must export this very class.
+    package = importlib.import_module(module_name.rsplit(".", 1)[0])
+    assert getattr(package, name, cls) is cls, name
+    named = re.compile(rf"\b{name}\b")
+    bad = [d for d in findings if named.search(d.message)]
+    assert not bad, "\n".join(d.format() for d in bad)
+
+
+def test_knob_classes_are_on_the_surface():
+    for cls in KNOB_DOCS:
+        assert cls in _CLASS_PATH, cls
+
+
+def test_driver_docstrings_name_their_knobs(findings):
+    bad = [d for d in findings if d.rule == "api-knob"]
+    assert not bad, "\n".join(d.format() for d in bad)

@@ -1,16 +1,16 @@
-"""Public-API contract rules — the static port of ``tests/test_docstrings.py``.
+"""Public-API contract rules — the one implementation of the docstring contract.
 
 * ``api-docstring`` — every class on the exported API surface, and every
   public method / property / classmethod / staticmethod / nested class
   defined in its body, must carry a non-empty docstring.  A listed class
   missing from its module is also a finding, so the surface map cannot rot
-  when code moves (``tests/lint/test_api_surface_sync.py`` additionally pins
-  this map against the runtime test's ``PUBLIC_CLASSES``).
+  when code moves.
 * ``api-knob`` — driver class docstrings must keep naming the knobs they
   accept (the minimal "docs follow the code" check).
 
-Unlike the runtime test, these run without importing ``repro`` at all — on a
-clean checkout with no dependencies installed.
+These run without importing ``repro`` at all — on a clean checkout with no
+dependencies installed.  ``tests/test_docstrings.py`` calls this checker and
+checks that the surface map names importable ``repro`` classes.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from tools.lint.core import Checker, Diagnostic, FileContext
 
-#: The exported API surface: repo-relative module -> class names.  Must stay
-#: in sync with ``tests/test_docstrings.py::PUBLIC_CLASSES`` (pinned by
-#: ``tests/lint/test_api_surface_sync.py``).
+#: The exported API surface: repo-relative module -> class names.
 PUBLIC_API: Dict[str, Tuple[str, ...]] = {
     "src/repro/core/dynamic_dfs.py": ("FullyDynamicDFS",),
     "src/repro/core/fault_tolerant.py": ("FaultTolerantDFS",),
@@ -68,8 +66,7 @@ class PublicApiChecker(Checker):
                 out.append(Diagnostic(
                     rule="api-docstring", path=ctx.rel, line=1, col=0,
                     message=f"public class {name} not found at module level",
-                    hint="update PUBLIC_API in tools/lint/rules/public_api.py "
-                         "and tests/test_docstrings.py together"))
+                    hint="update PUBLIC_API in tools/lint/rules/public_api.py"))
                 continue
             self._check_class(ctx, cls, out)
         return out
