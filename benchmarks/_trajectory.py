@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import time
+from statistics import median
 from typing import Callable, Dict, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -75,6 +76,37 @@ def timed_median(fn: Callable[[], object], k: int = 5, warmup: int = 1) -> Tuple
         samples.append((time.perf_counter() - t0) * 1000.0)
     samples.sort()
     return samples[len(samples) // 2], result
+
+
+def timed_ratio(
+    slow: Callable[[], object], fast: Callable[[], object], k: int = 5, warmup: int = 1
+) -> Tuple[float, float, float, object, object]:
+    """Time *slow* and then *fast* in each of ``k`` rounds; each timed call
+    comes right after ``warmup`` untimed calls of the same side.
+
+    Returns ``(slow_ms, fast_ms, ratio, slow_result, fast_result)``: the
+    median time of each side and the median of the per-round ``slow / fast``
+    ratios.  The two sides of a round share one speed window of the machine,
+    so a slow phase cancels out of that round's ratio instead of landing on
+    one side of the comparison only.  The per-side warm-up keeps each timed
+    call out of the cache and allocator state the other side left behind,
+    which is not part of either side's steady-state cost."""
+
+    def timed(fn: Callable[[], object]) -> Tuple[float, object]:
+        for _ in range(warmup):
+            fn()
+        t0 = time.perf_counter()
+        result = fn()
+        return (time.perf_counter() - t0) * 1000.0, result
+
+    slow_ms, fast_ms, ratios = [], [], []
+    for _ in range(k):
+        s_ms, slow_result = timed(slow)
+        f_ms, fast_result = timed(fast)
+        slow_ms.append(s_ms)
+        fast_ms.append(f_ms)
+        ratios.append(s_ms / f_ms)
+    return median(slow_ms), median(fast_ms), median(ratios), slow_result, fast_result
 
 
 def write_bench_files() -> None:

@@ -6,10 +6,13 @@ Claim: the flat/CSR array core behind ``backend="array"`` turns the three
 hot paths — the ``StructureD`` rebuild, the batched canonical min-postorder
 re-anchor (overlay service), and the LCA query path — from python dict/list
 constant factors into vectorized numpy sweeps, at **>= 10x** over the dict
-reference at n = 10^5 while returning byte-identical answers.  Results are
-persisted to ``BENCH_E11.json`` (median-of-k timings, the counters asserted
-on, the enforced speedup floors) and CI compares the file against the
-committed trajectory with ``tools/bench_compare.py``.
+reference at n = 10^5 while returning byte-identical answers.  Each speedup
+is the median of ``ROUNDS`` per-round ratios, dict and array timed back to
+back (each right after an untimed call of its own) in every round, so the
+machine's speed swings hit both sides of a ratio alike.  Results are
+persisted to ``BENCH_E11.json`` (per-side median timings, the counters
+asserted on, the enforced speedup floors) and CI compares the file against
+the committed trajectory with ``tools/bench_compare.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from benchmarks.conftest import emit_bench, record_table, scale_sizes, timed_median
+from benchmarks.conftest import emit_bench, record_table, scale_sizes, timed_median, timed_ratio
 from repro.constants import VIRTUAL_ROOT
 from repro.core.array_structure_d import ArrayStructureD
 from repro.core.structure_d import StructureD
@@ -33,6 +36,8 @@ from repro.tree.dfs_tree import DFSTree
 from repro.tree.lca import ArrayLCAIndex, EulerTourLCA
 
 SPEEDUP_MIN = 10.0
+#: Dict/array rounds behind each E11 speedup (median of the per-round ratios).
+ROUNDS = 9
 #: The XL tier floor is a sanity bound, not the headline claim: at n = 10^6
 #: the array side pays its own memory traffic (hundreds of MB of int64
 #: arrays), so the dict/array rebuild ratio narrows from ~20x (n = 10^5) to
@@ -57,15 +62,13 @@ def test_array_backend_speedups_at_large_n(benchmark):
     # --- rebuild path: StructureD construction ------------------------- #
     dict_metrics = MetricsRecorder()
     array_metrics = MetricsRecorder()
-    t_rebuild_dict, d_dict = timed_median(
-        lambda: StructureD(graph, tree, metrics=dict_metrics), k=3
-    )
-    t_rebuild_array, d_array = timed_median(
-        lambda: ArrayStructureD(agraph, tree, metrics=array_metrics), k=3
+    t_rebuild_dict, t_rebuild_array, rebuild_speedup, d_dict, d_array = timed_ratio(
+        lambda: StructureD(graph, tree, metrics=dict_metrics),
+        lambda: ArrayStructureD(agraph, tree, metrics=array_metrics),
+        k=ROUNDS,
     )
     assert d_dict.size() == d_array.size()
     assert dict_metrics["d_build_work"] == array_metrics["d_build_work"]
-    rebuild_speedup = t_rebuild_dict / t_rebuild_array
 
     # --- overlay-service path: batched canonical re-anchor ------------- #
     q = max(n // 2, 1)
@@ -83,14 +86,12 @@ def test_array_backend_speedups_at_large_n(benchmark):
     los = np.asarray(los, dtype=np.int64)
     his = np.asarray(his, dtype=np.int64)
     # the dict base class answers the batch with the scalar bisect loop
-    t_anchor_dict, (ans_dict, _) = timed_median(
-        lambda: StructureD.min_post_alive_neighbor_batch(d_dict, us, los, his), k=3
-    )
-    t_anchor_array, (ans_array, _) = timed_median(
-        lambda: d_array.min_post_alive_neighbor_batch(us, los, his), k=3
+    t_anchor_dict, t_anchor_array, anchor_speedup, (ans_dict, _), (ans_array, _) = timed_ratio(
+        lambda: StructureD.min_post_alive_neighbor_batch(d_dict, us, los, his),
+        lambda: d_array.min_post_alive_neighbor_batch(us, los, his),
+        k=ROUNDS,
     )
     assert ans_dict == ans_array  # byte-identical canonical anchors
-    anchor_speedup = t_anchor_dict / t_anchor_array
 
     # --- query path: LCA batches --------------------------------------- #
     scalar_lca = EulerTourLCA(tree)
@@ -99,12 +100,12 @@ def test_array_backend_speedups_at_large_n(benchmark):
     # arrays (the dict index accepts np.int64 keys — same hashes).
     avs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     bvs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
-    t_lca_dict, lcas_dict = timed_median(
-        lambda: [scalar_lca.lca(a, b) for a, b in zip(avs, bvs)], k=3
+    t_lca_dict, t_lca_array, lca_speedup, lcas_dict, lcas_array = timed_ratio(
+        lambda: [scalar_lca.lca(a, b) for a, b in zip(avs, bvs)],
+        lambda: array_lca.lca_batch(avs, bvs),
+        k=ROUNDS,
     )
-    t_lca_array, lcas_array = timed_median(lambda: array_lca.lca_batch(avs, bvs), k=3)
     assert lcas_dict == lcas_array
-    lca_speedup = t_lca_dict / t_lca_array
 
     for label, speedup in (
         ("rebuild", rebuild_speedup),

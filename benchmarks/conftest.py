@@ -39,6 +39,7 @@ from benchmarks._trajectory import (  # noqa: E402  (path bootstrap above)
     SCALE,
     emit_bench,
     timed_median,
+    timed_ratio,
     write_bench_files,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "record_table",
     "scale_sizes",
     "timed_median",
+    "timed_ratio",
 ]
 
 

@@ -19,12 +19,7 @@ scalar path exactly for the rows a Theorem 9 overlay has dirtied.
 
 The flat arrays are a build-once snapshot of the base lists: Theorem 9
 overlays only mask them (as in the paper), and nothing edits them in place.
-:meth:`absorb_overlays`, which must edit the base lists, first *materializes*
-the flat rows into the exact per-vertex python lists the dict backend would
-hold (``d_flat_materializations``) and then runs the inherited absorb, so
-both backends share one absorb and stay byte-identical by construction.  The
-structure then answers like the dict backend until the next rebuild or rebase
-constructs fresh flat arrays.
+A refresh of ``D`` builds a new structure with fresh flat arrays.
 """
 
 from __future__ import annotations
@@ -65,9 +60,7 @@ class ArrayStructureD(StructureD):
         self._frozen_slot_ids: List = []
         self._frozen_has_free = False
         self._id2slot: Optional[np.ndarray] = None  # dense int-id -> slot table
-        self._materialized = False
         if not isinstance(graph, ArrayGraph):
-            self._materialized = True
             super()._build()
             return
         # Arm the lazy caches: ``_post`` / ``_slot_of_frozen`` / ``_flat_ids``
@@ -205,7 +198,7 @@ class ArrayStructureD(StructureD):
         posts = self._sorted_posts.get(u)
         if posts is not None:
             return posts, self._sorted_nbrs[u]
-        if self._materialized:
+        if self._flat_indptr is None:
             return None
         s = self._slot_of_frozen.get(u)
         if s is None:
@@ -216,48 +209,9 @@ class ArrayStructureD(StructureD):
 
     def size(self) -> int:
         """Total number of indexed adjacency entries (``O(overlay)``)."""
-        total = sum(len(lst) for lst in self._sorted_nbrs.values())
-        if not self._materialized:
-            # Pre-materialization the dict rows are exactly the
-            # overlay-inserted vertices, disjoint from the flat rows.
-            total += self._flat_total
-        return total
-
-    # ------------------------------------------------------------------ #
-    # Absorb: degrade to the exact dict representation, then reuse it
-    # ------------------------------------------------------------------ #
-    def _materialize(self) -> None:
-        """Expand the flat rows into per-vertex python lists (one-way door).
-
-        Absorbing edits the base lists in place, which an immutable flat
-        snapshot cannot support; after materializing, this structure *is* a
-        dict-backend :class:`StructureD` (same lists, same answers) until the
-        next rebuild constructs fresh flat arrays.
-        """
-        if self._materialized:
-            return
-        indptr = self._flat_indptr
-        posts = self._flat_posts
-        ids = self._flat_ids
-        for v, s in self._slot_of_frozen.items():
-            if v in self._sorted_posts:
-                continue
-            lo = int(indptr[s])
-            hi = int(indptr[s + 1])
-            self._sorted_posts[v] = posts[lo:hi].tolist()
-            self._sorted_nbrs[v] = list(ids[lo:hi])
-        self._materialized = True
-        if self._metrics is not None:
-            self._metrics.inc("d_flat_materializations")
-
-    def absorb_overlays(self) -> None:
-        """Fold the accumulated overlays into the base representation.
-
-        Materializes the flat rows into python lists, then runs the inherited
-        absorb, so both backends share one absorb.
-        """
-        self._materialize()
-        super().absorb_overlays()
+        # The dict rows are the overlay-inserted vertices (disjoint from the
+        # flat rows), or every row when built from a non-ArrayGraph.
+        return sum(len(lst) for lst in self._sorted_nbrs.values()) + self._flat_total
 
     # ------------------------------------------------------------------ #
     # Vectorized bulk queries
@@ -271,13 +225,14 @@ class ArrayStructureD(StructureD):
         entry with post-order number in ``[lo, hi]`` is alive by definition,
         so one ``np.searchsorted`` on the composite keys plus one gather
         resolves the whole clean subset (probes: 1 per hit, 0 per miss — the
-        scalar accounting).  Dirty, materialized or unindexed rows take the
-        inherited scalar path; answers equal the scalar method's exactly.
+        scalar accounting).  Dirty or unindexed rows, and every row of a
+        structure built from a non-``ArrayGraph``, take the inherited scalar
+        path; answers equal the scalar method's exactly.
         """
         if self._metrics is not None:
             self._metrics.inc("d_batch_queries")
         n = len(us)
-        if self._materialized or self._flat_indptr is None or n == 0:
+        if self._flat_indptr is None or n == 0:
             if self._metrics is not None:
                 self._metrics.inc("d_batch_query_fallbacks")
             return super(ArrayStructureD, self).min_post_alive_neighbor_batch(us, los, his)

@@ -261,8 +261,6 @@ class DQueryService(QueryService):
         known = [v for v in q.target if v in tree]
         unknown = [v for v in q.target if v not in tree]
         segments = ancestor_descendant_segments(tree, known) if known else []
-        # Feed the divergence EWMA the absorb-mode auto-rebase policy watches.
-        self._d.note_query_segments(max(len(segments), 1))
         if self._metrics is not None:
             self._metrics.inc("d_target_segments", max(len(segments), 1))
             self._metrics.observe_max("d_target_segments_per_query", max(len(segments), 1))

@@ -29,7 +29,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "update_batches": "apply_all() batches served by the amortized engine",
     "max_update_batch_size": "largest batch handed to apply_all()",
     "service_rebuilds": "query-service base-state rebuilds by UpdateEngine (initial build included)",
-    "service_rebuilds_forced": "rebuilds forced by a backend veto (re-used vertex id, due rebase) rather than the policy cadence",
+    "service_rebuilds_forced": "rebuilds forced by a backend veto (re-used vertex id, due forcing cost model) rather than the policy cadence",
     "overlay_served_updates": "updates served from the existing service state instead of a rebuild",
     "max_overlay_size": "largest overlay (masked + extra entries) observed between rebuilds",
     "update_recoveries": "updates whose reroot raised InvariantViolation and were committed as a static DFS instead (validate=False only; expected 0)",
@@ -37,17 +37,10 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     # Cost-model maintenance (MaintenanceController)
     "cost_model_triggers": "service refreshes demanded by a MaintenanceController forcing model (cost-model veto of overlay service)",
     "cost_model_excess": "excess per-update cost accumulated by MaintenanceController excess models (e.g. depth-drift rounds)",
-    # Data structure D (Theorems 8-9) and its maintenance policies
+    # Data structure D (Theorems 8-9)
     "d_builds": "StructureD constructions (one per full rebuild of D)",
     "d_build_work": "total adjacency entries processed while building D",
-    "d_rebuilds": "D-state refreshes triggered by a driver (initial build included; absorbs count too)",
-    "d_absorbs": "StructureD.absorb_overlays() calls (incremental D maintenance)",
-    "d_absorb_work": "entries touched while absorbing overlays into the sorted lists",
-    "max_pinned_overlay_size": "largest pinned cross-edge side list left behind by absorbs",
-    "d_rebases": "full rebases of absorb-mode D (base tree replaced by the current tree)",
-    "d_rebase_trigger_segments": "rebases triggered by the per-query segment EWMA crossing its threshold",
-    "d_rebase_trigger_pinned": "rebases triggered by the pinned side lists outgrowing the overlay budget",
-    "avg_target_segments": "EWMA of target segments per query against absorb-mode D (gauge)",
+    "d_rebuilds": "D-state refreshes triggered by a driver (initial build included)",
     "d_vertex_queries": "Theorem 8 model count: one per simulated processor range search in D (a search on a clean row is added in bulk, not one Python call each)",
     "d_probes": "Theorem 8 model count: adjacency entries the simulated range searches touch (exactly one per clean-row search, added in bulk)",
     "d_target_segments": "base-tree segments the query targets decomposed into",
@@ -55,7 +48,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_reanchor_probes": "adjacency entries touched while re-anchoring canonical source endpoints",
     "d_overlay_view_queries": "queries answered while D's base tree differs from the current tree",
     # Array backend (flat/CSR core of ArrayStructureD)
-    "d_flat_materializations": "flat array rows expanded to python lists by the first overlay absorb after a build (later absorbs reuse the lists until the next rebuild)",
     "d_batch_queries": "batched min-postorder re-anchor calls answered by D",
     "d_batch_query_fallbacks": "batched re-anchor calls that fell back entirely to the scalar path",
     # Query services
@@ -136,7 +128,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     # Timers (wall-clock seconds; informational, never asserted on)
     "time_initial_dfs": "initial static DFS at construction",
     "time_preprocess": "fault-tolerant preprocessing",
-    "time_build_d": "StructureD builds / absorbs",
+    "time_build_d": "StructureD builds",
     "time_update": "end-to-end single-update processing",
     "time_batch_update": "end-to-end apply_all() batches",
     "time_rebuild_tree": "DFSTree snapshot construction after updates",

@@ -2,8 +2,7 @@
 
 Everything here is differential against the dict reference ``StructureD`` —
 identical rows, identical query answers, identical probe counters — plus the
-array-only machinery: the batched re-anchor path, its scalar fallbacks, and
-the one-way materialization that lets the array core reuse the dict absorb.
+array-only machinery: the batched re-anchor path and its scalar fallbacks.
 """
 
 from __future__ import annotations
@@ -113,19 +112,18 @@ def test_batch_reanchor_identical_and_counts_fallbacks():
     assert ma["d_batch_query_fallbacks"] == 0
 
 
-def test_absorb_epochs_match_dict_and_rebuild_returns_to_flat():
-    """Repeated absorb epochs mixing edge deletions and insertions, vertex
-    deletions, and fresh and re-used vertex insertions: the array core
-    materializes once, then its rows, pinned lists, ``d_absorb_work`` and
-    batched re-anchor answers equal the dict core's after every epoch.  A
-    structure rebuilt on the updated graph answers from flat arrays again."""
+def test_overlay_epochs_match_dict_and_rebuild_stays_flat():
+    """Overlay epochs mixing edge deletions and insertions, vertex deletions,
+    and fresh and re-used vertex insertions: the array core's rows and batched
+    re-anchor answers equal the dict core's after every epoch, and its base
+    rows stay flat.  A structure rebuilt on the updated graph answers from
+    flat arrays with no batch fallback."""
     rng = random.Random(4242)
     for trial in range(25):
         n = rng.randrange(4, 40)
         g, ag, tree = _pair(n=n, p=rng.uniform(0.05, 0.5), seed=rng.randrange(10**6))
-        md, ma = MetricsRecorder(), MetricsRecorder()
-        dd = StructureD(g, tree, metrics=md)
-        da = ArrayStructureD(ag, tree, metrics=ma)
+        dd = StructureD(g, tree)
+        da = ArrayStructureD(ag, tree)
         known = list(g.vertices())
         alive = set(known)
         deleted = set()
@@ -171,15 +169,8 @@ def test_absorb_epochs_match_dict_and_rebuild_returns_to_flat():
                         s.note_vertex_inserted(v, nbrs)
                         gr.add_vertex_with_edges(v, nbrs)
             label = (trial, epoch)
-            dd.absorb_overlays()
-            da.absorb_overlays()
-            assert ma["d_flat_materializations"] == 1, label
-            assert ma["d_absorbs"] == md["d_absorbs"] == epoch + 1, label
-            assert ma["d_absorb_work"] == md["d_absorb_work"], label
+            assert da._flat_indptr is not None, label
             _assert_same_rows(da, dd, known, label)
-            assert {k: v for k, v in da._cross_edges.items() if v} == {
-                k: v for k, v in dd._cross_edges.items() if v
-            }, label
             us = [rng.choice(sorted(alive)) for _ in range(25)]
             _assert_same_batch(da, dd, us, tree, rng, label)
         # A rebuild on the updated graph starts from fresh flat arrays.
@@ -187,7 +178,7 @@ def test_absorb_epochs_match_dict_and_rebuild_returns_to_flat():
         ma2 = MetricsRecorder()
         da2 = ArrayStructureD(ag, tree2, metrics=ma2)
         dd2 = StructureD(g, tree2)
-        assert not da2._materialized, trial
+        assert da2._flat_indptr is not None, trial
         assert all(isinstance(da2._row(v)[0], np.ndarray) for v in alive), trial
         _assert_same_rows(da2, dd2, known, trial)
         us = [rng.choice(sorted(alive)) for _ in range(25)]
@@ -195,18 +186,20 @@ def test_absorb_epochs_match_dict_and_rebuild_returns_to_flat():
         assert ma2["d_batch_query_fallbacks"] == 0, trial
 
 
-def test_batch_falls_back_after_materialization():
+def test_dict_graph_build_takes_the_python_path():
+    """Built from a non-ArrayGraph, the array core holds the dict core's
+    python rows, and the batched re-anchor falls back to the scalar path."""
     g, ag, tree = _pair()
     ma = MetricsRecorder()
-    da = ArrayStructureD(ag, tree, metrics=ma)
+    da = ArrayStructureD(g, tree, metrics=ma)
     dd = StructureD(g, tree)
+    assert da._flat_indptr is None
+    assert da.size() == dd.size()
+    _assert_same_rows(da, dd, g.vertices(), "dict graph")
     verts = list(g.vertices())
     u, w = verts[0], verts[1]
     dd.note_vertex_deleted(u)
     da.note_vertex_deleted(u)
-    dd.absorb_overlays()
-    da.absorb_overlays()  # one-way: flat rows degrade to python lists
-    assert ma["d_flat_materializations"] == 1
     lo, hi = _interval(tree, w)
     assert da.min_post_alive_neighbor_batch([w], [lo], [hi]) == StructureD.min_post_alive_neighbor_batch(
         dd, [w], [lo], [hi]

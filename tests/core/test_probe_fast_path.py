@@ -7,10 +7,9 @@ Theorem 9 overlay has touched from the row's cached ancestor list
 those searches in bulk.  The reference here is the same driver on a
 structure that reports *every* row dirty, so every search takes the scalar
 call.  After every update both must hold the same tree and the same
-``d_vertex_queries`` / ``d_probes``, on both backends, under rebuild and
-absorb maintenance, with the default and the per-update rebuild policy.
-The update streams cover all four overlay kinds, re-insert deleted vertex
-ids, and (under absorb) leave pinned cross edges behind.
+``d_vertex_queries`` / ``d_probes``, on both backends, with the default and
+the per-update rebuild policy.  The update streams cover all four overlay
+kinds and re-insert deleted vertex ids.
 """
 
 from unittest import mock
@@ -30,11 +29,7 @@ from repro.metrics.counters import MetricsRecorder
 from repro.workloads.scenarios import build_scenario
 
 BACKENDS = ["dict"] + (["array"] if HAVE_NUMPY else [])
-CONFIGS = [
-    (d_maintenance, rebuild_every)
-    for d_maintenance in ("rebuild", "absorb")
-    for rebuild_every in (None, 1)
-]
+REBUILD_POLICIES = (None, 1)
 MODEL_COUNTERS = ("d_vertex_queries", "d_probes")
 
 
@@ -55,14 +50,13 @@ def _scalar_class(backend: str) -> type:
     return type(f"Scalar{base.__name__}", (_EveryRowDirty, base), {})
 
 
-def _driver(graph, backend, d_maintenance, rebuild_every, *, scalar):
+def _driver(graph, backend, rebuild_every, *, scalar):
     cls = _scalar_class(backend) if scalar else structure_class(backend)
     metrics = MetricsRecorder("probe", strict=True)
     with mock.patch.object(dynamic_dfs, "structure_class", lambda _name: cls):
         driver = FullyDynamicDFS(
             graph,
             backend=backend,
-            d_maintenance=d_maintenance,
             rebuild_every=rebuild_every,
             metrics=metrics,
         )
@@ -105,10 +99,10 @@ def _decode(graph, ops):
     return updates
 
 
-def _assert_identical(graph, updates, backend, d_maintenance, rebuild_every):
-    fast, fast_m = _driver(graph, backend, d_maintenance, rebuild_every, scalar=False)
-    ref, ref_m = _driver(graph, backend, d_maintenance, rebuild_every, scalar=True)
-    label = f"{backend}/{d_maintenance}/rebuild_every={rebuild_every}"
+def _assert_identical(graph, updates, backend, rebuild_every):
+    fast, fast_m = _driver(graph, backend, rebuild_every, scalar=False)
+    ref, ref_m = _driver(graph, backend, rebuild_every, scalar=True)
+    label = f"{backend}/rebuild_every={rebuild_every}"
     for step, update in enumerate(updates):
         fast.apply(update)
         ref.apply(update)
@@ -141,13 +135,13 @@ def test_fast_path_matches_scalar_reference_at_every_step(case):
     updates = _decode(graph, ops)
     assume(updates)
     for backend in BACKENDS:
-        for d_maintenance, rebuild_every in CONFIGS:
-            _assert_identical(graph, updates, backend, d_maintenance, rebuild_every)
+        for rebuild_every in REBUILD_POLICIES:
+            _assert_identical(graph, updates, backend, rebuild_every)
 
 
 def _trajectory(graph, updates, backend, *, scalar):
-    """Per-update (parent map, model counters, pinned entries) under absorb
-    maintenance, and the number of scalar ``neighbor_on_segment`` calls."""
+    """Per-update (parent map, model counters) with a rebuild every 4th
+    update, and the number of scalar ``neighbor_on_segment`` calls."""
     calls = 0
     original = StructureD.neighbor_on_segment
 
@@ -158,19 +152,19 @@ def _trajectory(graph, updates, backend, *, scalar):
 
     steps = []
     with mock.patch.object(StructureD, "neighbor_on_segment", counting):
-        driver, metrics = _driver(graph, backend, "absorb", 4, scalar=scalar)
+        driver, metrics = _driver(graph, backend, 4, scalar=scalar)
         for update in updates:
             driver.apply(update)
             counters = tuple(metrics.get(key) for key in MODEL_COUNTERS)
-            steps.append((driver.parent_map(), counters, driver._backend.structure.pinned_size()))
+            steps.append((driver.parent_map(), counters))
     assert driver.is_valid()
     return steps, calls
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_fast_path_skips_scalar_calls_with_pinned_and_reused_rows(backend):
+def test_fast_path_skips_scalar_calls_with_reused_rows(backend):
     """The fast path really runs (fewer scalar calls, same trees and
-    counters), also with pinned cross entries and a re-used vertex id."""
+    counters), also with a re-used vertex id."""
     scenario = build_scenario("social_network_churn", n=60, seed=0, updates=30)
     final = scenario.graph.copy()
     for update in scenario.updates:
@@ -181,6 +175,5 @@ def test_fast_path_skips_scalar_calls_with_pinned_and_reused_rows(backend):
     fast, fast_calls = _trajectory(scenario.graph, updates, backend, scalar=False)
     ref, ref_calls = _trajectory(scenario.graph, updates, backend, scalar=True)
     assert fast == ref
-    assert max(pinned for _, _, pinned in fast) > 0
-    assert fast[-1][1][0] > 0
+    assert fast[-1][1][1] > 0  # d_probes
     assert fast_calls < ref_calls / 2

@@ -41,7 +41,6 @@ INJECT_AT = (2, 9, 17)
 #: through :meth:`query` instead of taking updates one by one.
 COMBOS = [
     ("core", lambda g, m, b, v: FullyDynamicDFS(g, metrics=m, backend=b, validate=v)),
-    ("core_absorb", lambda g, m, b, v: FullyDynamicDFS(g, d_maintenance="absorb", metrics=m, backend=b, validate=v)),
     ("core_rebuild_every_4", lambda g, m, b, v: FullyDynamicDFS(g, rebuild_every=4, metrics=m, backend=b, validate=v)),
     ("stream", lambda g, m, b, v: SemiStreamingDynamicDFS(g, metrics=m, backend=b, validate=v)),
     ("dist", lambda g, m, b, v: DistributedDynamicDFS(g, metrics=m, backend=b, validate=v)),

@@ -4,6 +4,6 @@
 
 def work(metrics, trigger):
     """Bump a counter whose name depends on a runtime value."""
-    metrics.inc(f"d_rebase_trigger_{trigger}")  # expect: dynamic-counter-key
+    metrics.inc(f"service_rebuilds_{trigger}")  # expect: dynamic-counter-key
     key = "updates"
     metrics.inc(key)  # expect: dynamic-counter-key

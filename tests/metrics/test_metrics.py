@@ -75,7 +75,7 @@ def test_strict_recorder_accepts_registered_counters_and_max_aliases():
     # Maxima are recorded under the raw name but registered under max_<name>.
     m.observe_max("overlay_size", 5)
     m.observe_max("congest_max_message_words", 2)  # alias: max_congest_max_message_words
-    m.set("avg_target_segments", 1.5)
+    m.set("d_target_segments", 3)
     with m.timer("build_d"):
         pass
     d = m.as_dict()
@@ -103,8 +103,6 @@ def test_every_driver_records_only_registered_counters():
     FullyDynamicDFS(
         graph,
         rebuild_every=3,
-        d_maintenance="absorb",
-        rebase_segment_threshold=2,
         validate=True,
         metrics=MetricsRecorder("core", strict=True),
     ).apply_all(updates)
